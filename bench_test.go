@@ -383,7 +383,7 @@ func BenchmarkExploreRpStacks1000(b *testing.B) {
 	points := sp.Enumerate(r.Cfg.Lat)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dse.ExploreRpStacks(a.Analysis, points)
+		dse.Explore(dse.RpStacksEngine(a.Analysis), points, dse.ExploreOptions{})
 	}
 	b.ReportMetric(float64(len(points)), "points")
 }

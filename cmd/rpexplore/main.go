@@ -125,6 +125,10 @@ func main() {
 	flag.Var(&axes, "axis", "latency axis, e.g. L1D=1,2,3,4 (repeatable)")
 	flag.Parse()
 
+	if _, err := dse.EngineMethod(*method); err != nil {
+		fmt.Fprintln(os.Stderr, "rpexplore:", err)
+		os.Exit(2)
+	}
 	if *par < 1 {
 		fmt.Fprintf(os.Stderr, "rpexplore: -parallelism must be at least 1, got %d\n", *par)
 		os.Exit(2)
@@ -249,8 +253,12 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	if err != nil {
 		return err
 	}
+	eng, err := dse.NewEngine(method, dse.EngineInputs{Analysis: a.Analysis, Graph: a.Graph, Cfg: r.Cfg, UOps: a.UOps})
+	if err != nil {
+		return err
+	}
 	if sf.spec != nil {
-		return runSearch(&sp, sf, r, a, app, method, par, batch, checkpoint, traceOut, au)
+		return runSearch(&sp, sf, r, a, app, method, eng, par, batch, checkpoint, traceOut, au)
 	}
 	points := sp.Enumerate(r.Cfg.Lat)
 	opts := dse.ExploreOptions{Parallelism: par, ChunkSize: chunk, BatchSize: batch,
@@ -288,17 +296,7 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	fmt.Printf("%s: exploring %d latency points with %s (%d %s)\n",
 		app, len(points), method, workers, noun)
 
-	var rep *dse.Report
-	switch method {
-	case "rpstacks":
-		rep, err = dse.ExploreRpStacksOpts(a.Analysis, points, opts)
-	case "graph":
-		rep, err = dse.ExploreGraphOpts(a.Graph, points, opts)
-	case "sim":
-		rep, err = dse.ExploreSimOpts(r.Cfg, a.UOps, points, opts)
-	default:
-		return fmt.Errorf("unknown method %q", method)
-	}
+	rep, err := dse.Explore(eng, points, opts)
 	if err != nil {
 		return err
 	}
@@ -362,29 +360,34 @@ func run(app string, axes axisFlags, method string, target float64, top, n, par,
 	return nil
 }
 
-// runAudit shadow-audits the finished sweep and prints its summary. The
-// oracle recipe mirrors how the sweep itself was produced: the sim engine is
-// re-simulated cold (exactly what dse.ExploreSimOpts runs per point, so its
-// self-audit is bitwise zero), the model engines are audited against a
+// auditOracle is the one ground-truth recipe behind -audit-oracle, shared
+// by the shadow audit of exhaustive sweeps and the online verification of
+// search optima. It mirrors how the engine produced its numbers: the sim
+// engine is re-simulated cold (exactly what its lanes run per point, so its
+// self-audit is bitwise zero), the model engines are checked against a
 // simulator warmed with the same code, data and µop prefix the analysis
 // substrate saw. -audit-oracle graph swaps in the dependence-graph model,
 // the exact reference for a -lossless RpStacks analysis.
-func runAudit(rep *dse.Report, r *experiments.Runner, a *experiments.App, method string, au auditFlags, par int) error {
-	var oracle audit.Oracle
+func auditOracle(r *experiments.Runner, a *experiments.App, method string, au auditFlags) audit.Oracle {
 	switch {
 	case au.oracle == "graph":
-		oracle = &audit.GraphOracle{Graph: a.Graph}
+		return &audit.GraphOracle{Graph: a.Graph}
 	case method == "sim":
-		oracle = &audit.SimOracle{Cfg: r.Cfg, UOps: a.UOps}
-	default:
-		oracle = &audit.SimOracle{
-			Cfg:       r.Cfg,
-			CodeLines: a.CodeLines,
-			DataLines: a.DataLines,
-			Warm:      a.WarmUOps,
-			UOps:      a.UOps,
-		}
+		return &audit.SimOracle{Cfg: r.Cfg, UOps: a.UOps}
 	}
+	return &audit.SimOracle{
+		Cfg:       r.Cfg,
+		CodeLines: a.CodeLines,
+		DataLines: a.DataLines,
+		Warm:      a.WarmUOps,
+		UOps:      a.UOps,
+	}
+}
+
+// runAudit shadow-audits the finished sweep against auditOracle and prints
+// its summary.
+func runAudit(rep *dse.Report, r *experiments.Runner, a *experiments.App, method string, au auditFlags, par int) error {
+	oracle := auditOracle(r, a, method, au)
 	var decompose func(*stacks.Latencies) stacks.Stack
 	switch method {
 	case "rpstacks":

@@ -44,7 +44,7 @@ func main() {
 	space.Axes = append(space.Axes, dse.Axis{Event: stacks.L2D, Values: []float64{6, 9, 12}})
 	points := space.Enumerate(base)
 	start := time.Now()
-	rep := dse.ExploreRpStacks(app.Analysis, points)
+	rep, _ := dse.Explore(dse.RpStacksEngine(app.Analysis), points, dse.ExploreOptions{})
 	fmt.Printf("explored %d latency points in %v (one simulation total)\n",
 		len(points), time.Since(start).Round(time.Millisecond))
 

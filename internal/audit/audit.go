@@ -121,7 +121,7 @@ type Oracle interface {
 // internal/cpu simulator at the design point. When the warm inputs are set,
 // the re-simulation replays the same functional warmup as the engines'
 // baseline trace; with them nil it measures the stream cold, matching the
-// recipe of dse.ExploreSim. The decomposition is the critical-path stack of
+// per-point recipe of dse.SimEngine's lanes. The decomposition is the critical-path stack of
 // the re-simulated trace's dependence graph — model-attributed, but over the
 // *measured* execution.
 type SimOracle struct {

@@ -1,33 +1,11 @@
 package dse
 
-import (
-	"time"
+import "time"
 
-	"repro/internal/stacks"
-)
-
-// batch.go — K-wide design-point evaluation. The batch-capable engines
-// (graph, rpstacks) evaluate K design points per pass over their model
-// instead of re-walking it per point; this file holds the engine-neutral
-// pieces: the per-worker evaluation closure bundle the sweep driver runs,
-// and the lane-width autotuner behind ExploreOptions.BatchSize == 0.
-
-// engineEval bundles one engine's per-worker evaluation closures for
-// runPoints. Scalar-only engines (sim) set point; batch-capable engines set
-// batch and width instead. Exactly one of the two modes is active: batch
-// is used whenever it is non-nil and width > 1.
-type engineEval struct {
-	// point evaluates design point i on the worker's scratch.
-	point func(worker, i int) (float64, error)
-	// batch evaluates len(lats) ≤ width design points in one model pass on
-	// the worker's scratch, writing cycle counts into out in lats order.
-	batch func(worker int, lats []stacks.Latencies, out []float64) error
-	// width is the lane capacity of the worker scratches behind batch.
-	width int
-}
-
-// batched reports whether the engine runs the K-wide path.
-func (ev *engineEval) batched() bool { return ev.batch != nil && ev.width > 1 }
+// batch.go — the lane-width autotuner behind ExploreOptions.BatchSize == 0.
+// The batch-capable engines (graph, rpstacks) evaluate K design points per
+// pass over their model instead of re-walking it per point; the width K is
+// an execution detail that never changes results.
 
 // batchWidthCandidates are the lane widths the autotuner times when
 // ExploreOptions.BatchSize is zero. They bracket the widths that win on

@@ -4,65 +4,124 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/depgraph"
+	"repro/internal/isa"
+	"repro/internal/stacks"
 )
 
-// TestBatchedSweepsMatchScalar is the sweep-level batch-vs-scalar
-// differential: for both batch-capable engines, every explicit lane width —
-// one, odd widths forcing ragged final batches inside chunks, the autotuner
-// candidates, a width wider than the point list — crossed with serial,
-// parallel and tiny-chunk shapes must reproduce the forced-scalar sweep's
-// Results bit for bit. Run under -race it also proves per-worker batch
-// scratches do not race.
-func TestBatchedSweepsMatchScalar(t *testing.T) {
-	_, g, a, pts := prepareWorkload(t, "429.mcf", 11, 4000, 30)
+// laneCase is one engine under the width differentials, with the
+// reference its every lane width must reproduce.
+type laneCase struct {
+	name string
+	eng  *Engine
+	pts  []stacks.Latencies
+	want []Result // scalarTruth over pts
+}
 
-	grScalar, _ := ExploreGraphOpts(g, pts, ExploreOptions{BatchSize: 1})
-	rpScalar, _ := ExploreRpStacksOpts(a, pts, ExploreOptions{BatchSize: 1})
-	if grScalar.Batch != 1 || rpScalar.Batch != 1 {
-		t.Fatalf("BatchSize 1 resolved to widths %d/%d, want 1/1", grScalar.Batch, rpScalar.Batch)
+// scalarTruth evaluates every point alone through the engine's own scalar
+// evaluator — Analysis.Predict, a depgraph.Evaluator's LongestPath, or a
+// fresh cpu.Run per point — outside the sweep driver and its lanes. It is
+// the reference every lane width, worker count, chunking and resume must
+// reproduce bit for bit.
+func scalarTruth(t *testing.T, engine string, cfg *config.Config, uops []isa.MicroOp, g *depgraph.Graph, a *core.Analysis, pts []stacks.Latencies) []Result {
+	t.Helper()
+	out := make([]Result, len(pts))
+	for i := range pts {
+		var c float64
+		switch engine {
+		case "rpstacks":
+			c = a.Predict(&pts[i])
+		case "graph":
+			c = float64(g.NewEvaluator().LongestPath(&pts[i]))
+		case "sim":
+			pc := cfg.Clone()
+			pc.Lat = pts[i]
+			s, err := cpu.New(pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := s.Run(uops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c = float64(tr.Cycles)
+		default:
+			t.Fatalf("no scalar evaluator for engine %q", engine)
+		}
+		out[i] = Result{Lat: pts[i], Cycles: c}
 	}
+	return out
+}
 
+// laneCases builds all three engines with their scalar references: graph
+// and rpstacks over a 4000-µop mcf trace, sim over a small hmmer stream
+// (every sim point is a full re-simulation).
+func laneCases(t *testing.T) []laneCase {
+	t.Helper()
+	cfg, g, a, pts := prepareWorkload(t, "429.mcf", 11, 4000, 30)
+	simCfg, _, _, simPts := prepareWorkload(t, "456.hmmer", 3, 800, 12)
+	simUOps := smallStream(t, "456.hmmer", 3, 800)
+	return []laneCase{
+		{"graph", GraphEngine(g), pts, scalarTruth(t, "graph", cfg, nil, g, nil, pts)},
+		{"rpstacks", RpStacksEngine(a), pts, scalarTruth(t, "rpstacks", cfg, nil, nil, a, pts)},
+		{"sim", SimEngine(simCfg, simUOps), simPts, scalarTruth(t, "sim", simCfg, simUOps, nil, nil, simPts)},
+	}
+}
+
+// laneWidths are the explicit widths the differentials cover: scalar, the
+// narrowest batch, an odd width forcing ragged final batches inside chunks,
+// the default, and the whole point list.
+func laneWidths(n int) []int { return []int{1, 2, 7, 16, n} }
+
+// TestBatchedSweepsMatchScalar is the sweep-level lane differential: for all
+// three engines, every explicit lane width crossed with serial, parallel and
+// tiny-chunk shapes must reproduce the per-point scalar evaluators' cycles
+// bit for bit — width 1 included, which runs through the same lane loop as
+// the batched widths. Run under -race it also proves per-worker lanes do not
+// race.
+func TestBatchedSweepsMatchScalar(t *testing.T) {
 	shapes := []ExploreOptions{
 		{},
 		{Parallelism: 4, ChunkSize: 5},
 		{Parallelism: 3, ChunkSize: 1},
 		{Parallelism: 8},
 	}
-	for _, k := range []int{1, 2, 3, 7, 8, 64, len(pts)} {
-		wantWidth := k
-		if wantWidth > len(pts) {
-			wantWidth = len(pts) // explicit widths clamp to the point count
-		}
-		for si, shape := range shapes {
-			shape.BatchSize = k
-			gr, err := ExploreGraphOpts(g, pts, shape)
-			if err != nil {
-				t.Fatal(err)
+	cases := laneCases(t)
+	for _, c := range cases {
+		for _, k := range laneWidths(len(c.pts)) {
+			wantWidth := min(k, len(c.pts)) // explicit widths clamp to the point count
+			if c.name == "sim" {
+				wantWidth = 1 // re-simulation has no batched form
 			}
-			if gr.Batch != wantWidth {
-				t.Fatalf("graph k=%d shape %d: Report.Batch = %d, want %d", k, si, gr.Batch, wantWidth)
+			for si, shape := range shapes {
+				shape.BatchSize = k
+				rep, err := Explore(c.eng, c.pts, shape)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Batch != wantWidth {
+					t.Fatalf("%s k=%d shape %d: Report.Batch = %d, want %d", c.name, k, si, rep.Batch, wantWidth)
+				}
+				sameResults(t, fmt.Sprintf("%s k=%d shape %d vs scalar evaluator", c.name, k, si), c.want, rep.Results)
 			}
-			sameResults(t, "graph batched", grScalar.Results, gr.Results)
-			rp, err := ExploreRpStacksOpts(a, pts, shape)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rp.Batch != wantWidth {
-				t.Fatalf("rpstacks k=%d shape %d: Report.Batch = %d, want %d", k, si, rp.Batch, wantWidth)
-			}
-			sameResults(t, "rpstacks batched", rpScalar.Results, rp.Results)
 		}
 	}
 
 	// The default (autotuned) width on a sweep below the probe threshold is
 	// the fixed default, and its results still match.
-	grAuto, _ := ExploreGraphOpts(g, pts, ExploreOptions{})
+	gr := cases[0]
+	grAuto, _ := Explore(gr.eng, gr.pts, ExploreOptions{})
 	if grAuto.Batch != defaultBatchWidth {
 		t.Fatalf("autotuned small sweep resolved width %d, want default %d", grAuto.Batch, defaultBatchWidth)
 	}
-	sameResults(t, "graph autotuned", grScalar.Results, grAuto.Results)
+	sameResults(t, "graph autotuned", gr.want, grAuto.Results)
 }
 
 // TestPickBatchWidth covers the autotuner's resolution rules directly:
@@ -160,69 +219,65 @@ func TestBatchSizeFingerprintInvariant(t *testing.T) {
 	}
 }
 
-// TestBatchedCheckpointCrashResume is the satellite crash differential: a
-// batched checkpointed sweep killed mid-run and resumed at a different lane
-// width (and worker count) must stitch together the exact Results of an
-// uninterrupted forced-scalar sweep, under the same fingerprint. The resume
-// leg exercises the scattered-index gather path that only checkpointed
-// batched sweeps take.
+// TestBatchedCheckpointCrashResume is the crash differential across lane
+// widths: for all three engines, a checkpointed sweep killed mid-run at one
+// width and resumed at another (and at another worker count) must stitch
+// together exactly the per-point scalar evaluators' cycles, under the
+// engine's sweep fingerprint. The resume leg exercises the scattered-index
+// gather path that only checkpointed sweeps take.
 func TestBatchedCheckpointCrashResume(t *testing.T) {
-	_, g, a, pts := prepareWorkload(t, "429.mcf", 5, 2500, 60)
-	for _, eng := range []struct {
-		name string
-		run  func(opts ExploreOptions) (*Report, error)
-	}{
-		{"graph", func(opts ExploreOptions) (*Report, error) { return ExploreGraphOpts(g, pts, opts) }},
-		{"rpstacks", func(opts ExploreOptions) (*Report, error) { return ExploreRpStacksOpts(a, pts, opts) }},
-	} {
-		t.Run(eng.name, func(t *testing.T) {
-			scalar, err := eng.run(ExploreOptions{BatchSize: 1, NeedFingerprint: true})
+	for _, c := range laneCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			fp, err := SweepFingerprint(c.eng, c.pts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			widths := laneWidths(len(c.pts))
+			for wi, k := range widths {
+				const crashChunks, chunk = 2, 3
+				dir := t.TempDir()
+				ck := &Checkpoint{Dir: dir}
+				// Crashed leg: serial, cancelled after two chunks of three —
+				// at width 7 and wider each chunk is one ragged batch.
+				_, err := Explore(c.eng, c.pts, ExploreOptions{
+					Parallelism: 1,
+					ChunkSize:   chunk,
+					BatchSize:   k,
+					Context:     &cancelAfter{remaining: crashChunks},
+					Checkpoint:  ck,
+				})
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("k=%d: crashed run returned %v, want context.Canceled", k, err)
+				}
+				if got := len(chunkFiles(t, dir)); got != crashChunks {
+					t.Fatalf("k=%d: crash left %d chunk files, want %d", k, got, crashChunks)
+				}
 
-			const crashChunks = 4
-			dir := t.TempDir()
-			ck := &Checkpoint{Dir: dir}
-			// Crashed leg: serial, batched wider than the chunk, cancelled
-			// after 4 chunks of 5 — each chunk evaluates as one ragged batch.
-			_, err = eng.run(ExploreOptions{
-				Parallelism: 1,
-				ChunkSize:   5,
-				BatchSize:   8,
-				Context:     &cancelAfter{remaining: crashChunks},
-				Checkpoint:  ck,
-			})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("crashed run returned %v, want context.Canceled", err)
-			}
-			if got := len(chunkFiles(t, dir)); got != crashChunks {
-				t.Fatalf("crash left %d chunk files, want %d", got, crashChunks)
-			}
+				// Resumed leg: parallel, tiny chunks, the next width —
+				// checkpoints written at one width must restore at any other.
+				next := widths[(wi+1)%len(widths)]
+				resumed, err := Explore(c.eng, c.pts, ExploreOptions{Parallelism: 4, ChunkSize: 2, BatchSize: next, Checkpoint: ck})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := crashChunks * chunk; resumed.Resumed != want {
+					t.Fatalf("k=%d->%d: resume restored %d points, want %d", k, next, resumed.Resumed, want)
+				}
+				if !bytes.Equal(resumed.Fingerprint, fp) {
+					t.Fatalf("k=%d->%d: checkpointed sweep fingerprints differently than SweepFingerprint", k, next)
+				}
+				sameResults(t, fmt.Sprintf("%s k=%d->%d resume vs scalar evaluator", c.name, k, next), c.want, resumed.Results)
 
-			// Resumed leg: parallel, a different width — checkpoints written
-			// at one width must restore at any other.
-			resumed, err := eng.run(ExploreOptions{Parallelism: 4, ChunkSize: 3, BatchSize: 3, Checkpoint: ck})
-			if err != nil {
-				t.Fatal(err)
+				// Autotuned width over the now-complete checkpoint restores all.
+				full, err := Explore(c.eng, c.pts, ExploreOptions{Checkpoint: ck})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if full.Resumed != len(c.pts) {
+					t.Fatalf("k=%d: complete checkpoint restored %d of %d points", k, full.Resumed, len(c.pts))
+				}
+				sameResults(t, c.name+" fully resumed", c.want, full.Results)
 			}
-			if want := crashChunks * 5; resumed.Resumed != want {
-				t.Fatalf("resume restored %d points, want %d", resumed.Resumed, want)
-			}
-			if !bytes.Equal(resumed.Fingerprint, scalar.Fingerprint) {
-				t.Fatal("batched checkpointed sweep fingerprints differently than the scalar sweep")
-			}
-			sameResults(t, eng.name+" batched resume vs scalar uninterrupted", scalar.Results, resumed.Results)
-
-			// Autotuned width over the now-complete checkpoint restores all.
-			full, err := eng.run(ExploreOptions{Checkpoint: ck})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if full.Resumed != len(pts) {
-				t.Fatalf("complete checkpoint restored %d of %d points", full.Resumed, len(pts))
-			}
-			sameResults(t, eng.name+" fully resumed", scalar.Results, full.Results)
 		})
 	}
 }
@@ -233,11 +288,11 @@ func TestBatchedCheckpointCrashResume(t *testing.T) {
 func TestSimIgnoresBatchSize(t *testing.T) {
 	cfg, _, _, pts := prepareWorkload(t, "456.hmmer", 3, 800, 3)
 	uops := smallStream(t, "456.hmmer", 3, 800)
-	plain, err := ExploreSimOpts(cfg, uops, pts, ExploreOptions{})
+	plain, err := Explore(SimEngine(cfg, uops), pts, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := ExploreSimOpts(cfg, uops, pts, ExploreOptions{BatchSize: 16})
+	batched, err := Explore(SimEngine(cfg, uops), pts, ExploreOptions{BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/stacks"
+	"repro/internal/store"
 )
 
 // checkpoint.go — crash-safe sweep resume. A checkpointed sweep persists
@@ -223,25 +224,8 @@ func saveChunk(dir string, fp [sha256.Size]byte, idxs []int, results []Result) e
 	for k, i := range idxs {
 		cycles[k] = results[i].Cycles
 	}
-	raw := encodeChunk(fp, idxs, cycles)
-	tmp, err := os.CreateTemp(dir, "tmp-*")
-	if err != nil {
-		return fmt.Errorf("dse: creating checkpoint temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(raw); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("dse: writing checkpoint chunk: %w", err)
-	}
 	final := filepath.Join(dir, fmt.Sprintf("%s%09d", chunkPrefix, idxs[0]))
-	if err := os.Rename(tmpName, final); err != nil {
-		_ = os.Remove(tmpName)
+	if err := store.WriteFileAtomic(dir, "tmp-*", final, encodeChunk(fp, idxs, cycles)); err != nil {
 		return fmt.Errorf("dse: publishing checkpoint chunk: %w", err)
 	}
 	return nil

@@ -69,7 +69,7 @@ func TestCheckpointCrashResumeDifferential(t *testing.T) {
 	}{
 		{"rpstacks", func(opts ExploreOptions) (*Report, error) { return ExploreRpStacksOpts(a, pts, opts) }},
 		{"graph", func(opts ExploreOptions) (*Report, error) { return ExploreGraphOpts(g, pts, opts) }},
-		{"sim", func(opts ExploreOptions) (*Report, error) { return ExploreSimOpts(cfg, uops, pts, opts) }},
+		{"sim", func(opts ExploreOptions) (*Report, error) { return Explore(SimEngine(cfg, uops), pts, opts) }},
 	}
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
@@ -149,7 +149,7 @@ func TestCheckpointRejectsForeignSweep(t *testing.T) {
 // matches the uninterrupted sweep.
 func TestCheckpointCorruptChunkIsReevaluated(t *testing.T) {
 	_, _, a, pts := prepareWorkload(t, "429.mcf", 5, 2000, 30)
-	uninterrupted := ExploreRpStacks(a, pts)
+	uninterrupted, _ := Explore(RpStacksEngine(a), pts, ExploreOptions{})
 
 	for _, damage := range []struct {
 		name string
@@ -216,7 +216,7 @@ func smallStream(t *testing.T, name string, seed int64, n int) []isa.MicroOp {
 // kept files still completes, cleans up, and matches the uninterrupted run.
 func TestCheckpointRemoveOnSuccess(t *testing.T) {
 	_, g, _, pts := prepareWorkload(t, "429.mcf", 7, 2500, 60)
-	uninterrupted := ExploreGraph(g, pts)
+	uninterrupted, _ := Explore(GraphEngine(g), pts, ExploreOptions{})
 
 	dir := filepath.Join(t.TempDir(), "ck")
 	ck := &Checkpoint{Dir: dir, RemoveOnSuccess: true}

@@ -7,15 +7,9 @@ package dse
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"time"
 
-	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/cpu"
-	"repro/internal/depgraph"
-	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/stacks"
 )
@@ -116,8 +110,8 @@ type Report struct {
 	Method  string
 	Results []Result
 	// Setup is the one-time cost of preparing the engine (simulate, analyze,
-	// build the graph), recorded by the Explore* constructors from
-	// ExploreOptions.Setup. It is what Total and Crossover amortize.
+	// build the graph), recorded by Explore from ExploreOptions.Setup. It
+	// is what Total and Crossover amortize.
 	Setup time.Duration
 	// PerPoint is the effective per-design-point cost: sweep wall-clock
 	// divided by the point count. Under a parallel sweep it already reflects
@@ -142,10 +136,11 @@ type Report struct {
 	// resumes: the hash covers the sweep's inputs, not its schedule.
 	Fingerprint []byte
 	// Batch is the lane width the sweep actually evaluated with: how many
-	// design points each pass over the engine's model covered. 1 means the
-	// scalar per-point path (always, for the sim engine); widths above 1
-	// record the resolved ExploreOptions.BatchSize, autotuned when that was
-	// zero. Purely informational — results are identical at every width.
+	// design points each pass over the engine's model covered. 1 means
+	// scalar lanes wrapping the engine's per-point evaluator (always, for
+	// the sim engine); widths above 1 record the resolved
+	// ExploreOptions.BatchSize, autotuned when that was zero. Purely
+	// informational — results are identical at every width.
 	Batch int
 }
 
@@ -164,17 +159,33 @@ func (r *Report) finish(wall time.Duration, workers []WorkerTiming) {
 	}
 }
 
-// runPoints is the engines' shared sweep driver. Without a checkpoint it
-// runs the plain chunked sweep. With one, it fingerprints the sweep (method
-// + the engine input streamed by salt + the point list), restores persisted
+// Explore evaluates every design point through the engine, sharding the
+// point list over opts.Parallelism workers. Each worker owns one lane of the
+// resolved width (ExploreOptions.BatchSize, autotuned when zero; always 1
+// for the sim engine) and walks its chunks width points per model pass; the
+// engine's inputs are only read. Results are written by point index and are
+// bit-identical at every worker count and lane width to evaluating each
+// point alone through the engine's scalar evaluator. Errors are an
+// engine's evaluation error, opts.Context's cancellation error (checked
+// between chunks) and checkpoint I/O.
+func Explore(e *Engine, points []stacks.Latencies, opts ExploreOptions) (*Report, error) {
+	rep := &Report{Method: e.method, Results: make([]Result, len(points)), Setup: opts.Setup}
+	rep.Batch = e.sweepWidth(opts.BatchSize, points)
+	if err := runPoints(e, rep, points, opts); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// runPoints is the sweep driver behind Explore. Without a checkpoint it runs
+// the plain chunked sweep. With one, it fingerprints the sweep (method + the
+// engine input streamed by its salt + the point list), restores persisted
 // chunks, evaluates only the pending points, and publishes each completed
-// chunk atomically — crash-safe at chunk granularity. ev carries the
-// engine's per-worker evaluation closures — scalar per-point or K-wide
-// batched; batching changes how a chunk's points are walked, never which
-// points land in which chunk, so checkpoint files and fingerprints are
-// identical across widths. salt may be nil for engines whose output is
-// determined by the point list alone.
-func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt func(io.Writer) error, ev engineEval) error {
+// chunk atomically — crash-safe at chunk granularity. The lane width
+// (rep.Batch) changes how a chunk's points are walked, never which points
+// land in which chunk, so checkpoint files and fingerprints are identical
+// across widths.
+func runPoints(e *Engine, rep *Report, points []stacks.Latencies, opts ExploreOptions) error {
 	// The sweep root wraps everything below — checkpoint restore included —
 	// so an exported trace accounts for (at least) the whole Report.Wall.
 	// Chunk spans attach under it via TraceParent; all of this is inert when
@@ -185,9 +196,8 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 	defer root.End()
 	opts.TraceParent = root.ID()
 
-	results := rep.Results
-	batched := ev.batched()
-	if batched && opts.ChunkSize == 0 {
+	results, width := rep.Results, rep.Batch
+	if opts.ChunkSize == 0 {
 		// Align auto-sized chunks to the lane width: a chunk is the unit one
 		// worker claims, so an auto chunk narrower than the batch would
 		// silently cap every model pass below the resolved width. Explicit
@@ -195,87 +205,56 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 		// caller's call.
 		w := opts.workerCount(len(points))
 		c := opts.chunkSize(len(points), w)
-		if rem := c % ev.width; rem != 0 {
-			c += ev.width - rem
+		if rem := c % width; rem != 0 {
+			c += width - rem
 		}
 		opts.ChunkSize = c
 	}
-	// Per-worker batch scratches: the output lanes of one model pass, and
-	// (for the checkpoint path, whose chunks list scattered indices) a
-	// gather buffer of latency columns. O(workers·width), allocated once.
-	var outBufs [][]float64
-	var latBufs [][]stacks.Latencies
-	if batched {
-		nw := opts.workerCount(len(points))
-		outBufs = make([][]float64, nw)
-		for i := range outBufs {
-			outBufs[i] = make([]float64, ev.width)
-		}
-		if opts.Checkpoint != nil {
-			latBufs = make([][]stacks.Latencies, nw)
-			for i := range latBufs {
-				latBufs[i] = make([]stacks.Latencies, ev.width)
-			}
+	// Per-worker state, allocated once: the lane, its output buffer, and (for
+	// the checkpoint path, whose chunks list scattered indices) a gather
+	// buffer of latency columns. O(workers·width) beside the engine's own
+	// per-lane scratch.
+	nw := opts.workerCount(len(points))
+	lanes := make([]lane, nw)
+	outs := make([][]float64, nw)
+	var gathers [][]stacks.Latencies
+	if opts.Checkpoint != nil {
+		gathers = make([][]stacks.Latencies, nw)
+	}
+	for i := range lanes {
+		lanes[i] = e.lanes(width)
+		outs[i] = make([]float64, width)
+		if gathers != nil {
+			gathers[i] = make([]stacks.Latencies, width)
 		}
 	}
-	// evalRange evaluates the contiguous design points [lo, hi). The batched
-	// form slices the point list directly — no gather copy on the hot
-	// (uncheckpointed) path.
-	evalRange := func(worker, lo, hi int) error {
-		if !batched {
-			for i := lo; i < hi; i++ {
-				c, err := ev.point(worker, i)
-				if err != nil {
-					return err
-				}
-				results[i] = Result{Lat: points[i], Cycles: c}
-			}
-			return nil
-		}
-		out := outBufs[worker]
-		for i := lo; i < hi; i += ev.width {
-			j := i + ev.width
-			if j > hi {
-				j = hi // ragged final batch of the chunk
-			}
-			if err := ev.batch(worker, points[i:j], out[:j-i]); err != nil {
-				return err
-			}
-			for t, c := range out[:j-i] {
-				results[i+t] = Result{Lat: points[i+t], Cycles: c}
-			}
-		}
-		return nil
-	}
-	// evalIndices evaluates the scattered point indices idxs — the resume
-	// path walks pending-index space, so a batch gathers its latency columns
+	// evalChunk is the one lane loop: it evaluates the design points at
+	// positions [lo, hi) of idxs, width at a time. A nil idxs is the identity
+	// — contiguous points, sliced in place with no gather copy (the hot,
+	// uncheckpointed path); otherwise each batch gathers its latency columns
 	// first and scatters its results after.
-	evalIndices := func(worker int, idxs []int) error {
-		if !batched {
-			for _, i := range idxs {
-				c, err := ev.point(worker, i)
-				if err != nil {
-					return err
+	evalChunk := func(worker int, idxs []int, lo, hi int) error {
+		ln, out := lanes[worker], outs[worker]
+		for k := lo; k < hi; k += width {
+			m := min(width, hi-k) // ragged final batch of the chunk
+			var lats []stacks.Latencies
+			if idxs == nil {
+				lats = points[k : k+m]
+			} else {
+				lats = gathers[worker][:m]
+				for t := range lats {
+					lats[t] = points[idxs[k+t]]
 				}
-				results[i] = Result{Lat: points[i], Cycles: c}
 			}
-			return nil
-		}
-		out, lat := outBufs[worker], latBufs[worker]
-		for o := 0; o < len(idxs); o += ev.width {
-			e := o + ev.width
-			if e > len(idxs) {
-				e = len(idxs)
-			}
-			group := idxs[o:e]
-			for t, i := range group {
-				lat[t] = points[i]
-			}
-			if err := ev.batch(worker, lat[:len(group)], out[:len(group)]); err != nil {
+			if err := ln(lats, out[:m]); err != nil {
 				return err
 			}
-			for t, i := range group {
-				results[i] = Result{Lat: points[i], Cycles: out[t]}
+			for t, c := range out[:m] {
+				i := k + t
+				if idxs != nil {
+					i = idxs[i]
+				}
+				results[i] = Result{Lat: points[i], Cycles: c}
 			}
 		}
 		return nil
@@ -283,13 +262,15 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 
 	if opts.Checkpoint == nil {
 		if opts.NeedFingerprint {
-			fp, err := sweepFingerprint(rep.Method, salt, points)
+			fp, err := sweepFingerprint(e.method, e.salt, points)
 			if err != nil {
 				return err
 			}
 			rep.Fingerprint = fp[:]
 		}
-		wall, workers, err := sweep(len(points), opts, evalRange)
+		wall, workers, err := sweep(len(points), opts, func(worker, lo, hi int) error {
+			return evalChunk(worker, nil, lo, hi)
+		})
 		if err != nil {
 			return err
 		}
@@ -301,7 +282,7 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("dse: creating checkpoint dir: %w", err)
 	}
-	fp, err := sweepFingerprint(rep.Method, salt, points)
+	fp, err := sweepFingerprint(e.method, e.salt, points)
 	if err != nil {
 		return err
 	}
@@ -326,7 +307,7 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 		if lo == hi {
 			return nil // fully resumed sweep: nothing to evaluate or publish
 		}
-		if err := evalIndices(worker, pending[lo:hi]); err != nil {
+		if err := evalChunk(worker, pending, lo, hi); err != nil {
 			return err
 		}
 		return saveChunk(dir, fp, pending[lo:hi], results)
@@ -341,170 +322,6 @@ func runPoints(rep *Report, points []stacks.Latencies, opts ExploreOptions, salt
 		removeChunks(dir)
 	}
 	return nil
-}
-
-// ExploreSim measures every design point by re-running the timing
-// simulator: the ground truth, and the cost yardstick of Figure 13.
-// It is the serial form of ExploreSimOpts.
-func ExploreSim(cfg *config.Config, uops []isa.MicroOp, points []stacks.Latencies) (*Report, error) {
-	return ExploreSimOpts(cfg, uops, points, ExploreOptions{})
-}
-
-// ExploreSimOpts measures every design point by re-running the timing
-// simulator, sharding the point list over opts.Parallelism workers. Each
-// worker clones the configuration per point, so the sweep is race-free and
-// its Results are identical to the serial sweep's.
-func ExploreSimOpts(cfg *config.Config, uops []isa.MicroOp, points []stacks.Latencies, opts ExploreOptions) (*Report, error) {
-	rep := &Report{Method: "simulator", Results: make([]Result, len(points)), Setup: opts.Setup}
-	salt := simSalt(cfg, uops)
-	rep.Batch = 1 // re-simulation has no batched form
-	err := runPoints(rep, points, opts, salt, engineEval{point: func(_, i int) (float64, error) {
-		c := cfg.Clone()
-		c.Lat = points[i]
-		s, err := cpu.New(c)
-		if err != nil {
-			return 0, err
-		}
-		tr, err := s.Run(uops)
-		if err != nil {
-			return 0, err
-		}
-		return float64(tr.Cycles), nil
-	}})
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// ExploreGraph predicts every design point by re-evaluating the longest
-// path of a prebuilt baseline dependence graph (the Fields-style
-// reconstruction comparator): cheaper than simulation, still linear in
-// trace length per point. It is the serial form of ExploreGraphOpts; with
-// no Context the sweep cannot fail, so no error is returned.
-func ExploreGraph(g *depgraph.Graph, points []stacks.Latencies) *Report {
-	rep, _ := ExploreGraphOpts(g, points, ExploreOptions{})
-	return rep
-}
-
-// maxGraphBatchInt64s bounds the per-worker distance buffer of a batched
-// graph sweep (nodes × lanes int64s) when the lane width is autotuned: on
-// very large graphs the autotuner narrows the batch rather than allocating
-// hundreds of megabytes per worker. An explicit ExploreOptions.BatchSize
-// overrides the cap — the caller asked for that memory.
-const maxGraphBatchInt64s = 1 << 22 // 32 MiB of lanes per worker
-
-// ExploreGraphOpts predicts every design point from a prebuilt dependence
-// graph, sharding the point list over opts.Parallelism workers. By default
-// each worker holds one reusable depgraph.BatchEvaluator and evaluates
-// ExploreOptions.BatchSize design points per pass over the graph (width
-// autotuned when zero; BatchSize 1 falls back to the scalar
-// depgraph.Evaluator) — the whole sweep costs O(workers) buffers either
-// way, and the graph itself is only read. Results are written by point
-// index and are bit-identical to the serial scalar sweep's at every worker
-// count and batch width. The only possible error is opts.Context's
-// cancellation error, checked between chunks.
-func ExploreGraphOpts(g *depgraph.Graph, points []stacks.Latencies, opts ExploreOptions) (*Report, error) {
-	rep := &Report{Method: "graph", Results: make([]Result, len(points)), Setup: opts.Setup}
-	nw := opts.workerCount(len(points))
-	maxWidth := 0
-	if nodes := g.NumNodes(); nodes > 0 {
-		if maxWidth = maxGraphBatchInt64s / nodes; maxWidth < 1 {
-			maxWidth = 1 // graph too large to batch within budget: autotune stays scalar
-		}
-	}
-	width := pickBatchWidth(opts.BatchSize, len(points), maxWidth, func(w int) time.Duration {
-		be := g.NewBatchEvaluator(w)
-		sink := make([]int64, w)
-		start := time.Now()
-		be.LongestPaths(points[:w], sink)
-		return time.Since(start)
-	})
-	rep.Batch = width
-	var ev engineEval
-	if width <= 1 {
-		evals := make([]*depgraph.Evaluator, nw)
-		for i := range evals {
-			evals[i] = g.NewEvaluator()
-		}
-		ev = engineEval{point: func(worker, i int) (float64, error) {
-			return float64(evals[worker].LongestPath(&points[i])), nil
-		}}
-	} else {
-		bes := make([]*depgraph.BatchEvaluator, nw)
-		sinks := make([][]int64, nw)
-		for i := range bes {
-			bes[i] = g.NewBatchEvaluator(width)
-			sinks[i] = make([]int64, width)
-		}
-		ev = engineEval{width: width, batch: func(worker int, lats []stacks.Latencies, out []float64) error {
-			sink := sinks[worker][:len(lats)]
-			bes[worker].LongestPaths(lats, sink)
-			for t, v := range sink {
-				out[t] = float64(v)
-			}
-			return nil
-		}}
-	}
-	err := runPoints(rep, points, opts, g.WriteFingerprint, ev)
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// ExploreRpStacks predicts every design point from a prebuilt RpStacks
-// analysis: per point the cost is proportional to the (small) number of
-// representative stacks, independent of trace length. It is the serial form
-// of ExploreRpStacksOpts; with no Context the sweep cannot fail, so no
-// error is returned.
-func ExploreRpStacks(a *core.Analysis, points []stacks.Latencies) *Report {
-	rep, _ := ExploreRpStacksOpts(a, points, ExploreOptions{})
-	return rep
-}
-
-// ExploreRpStacksOpts predicts every design point from a prebuilt RpStacks
-// analysis, sharding the point list over opts.Parallelism workers. By
-// default each worker holds one reusable core.BatchPredictor and re-weights
-// the representative stacks for ExploreOptions.BatchSize design points per
-// pass (width autotuned when zero; BatchSize 1 falls back to scalar
-// Analysis.Predict). The analysis is read-only, so workers share it without
-// synchronization; Results are written by point index and are bit-identical
-// to the serial scalar sweep's at every worker count and batch width. The
-// only possible error is opts.Context's cancellation error, checked between
-// chunks.
-func ExploreRpStacksOpts(a *core.Analysis, points []stacks.Latencies, opts ExploreOptions) (*Report, error) {
-	rep := &Report{Method: "rpstacks", Results: make([]Result, len(points)), Setup: opts.Setup}
-	salt := func(w io.Writer) error { return core.WriteAnalysis(w, a) }
-	width := pickBatchWidth(opts.BatchSize, len(points), 0, func(w int) time.Duration {
-		bp := a.NewBatchPredictor(w)
-		sink := make([]float64, w)
-		start := time.Now()
-		bp.Predict(points[:w], sink)
-		return time.Since(start)
-	})
-	rep.Batch = width
-	var ev engineEval
-	if width <= 1 {
-		ev = engineEval{point: func(_, i int) (float64, error) {
-			return a.Predict(&points[i]), nil
-		}}
-	} else {
-		nw := opts.workerCount(len(points))
-		bps := make([]*core.BatchPredictor, nw)
-		for i := range bps {
-			bps[i] = a.NewBatchPredictor(width)
-		}
-		ev = engineEval{width: width, batch: func(worker int, lats []stacks.Latencies, out []float64) error {
-			bps[worker].Predict(lats, out)
-			return nil
-		}}
-	}
-	err := runPoints(rep, points, opts, salt, ev)
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
 }
 
 // Crossover returns the design-point count beyond which method a (with

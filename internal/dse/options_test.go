@@ -108,7 +108,7 @@ func TestExplorePropagatesContextError(t *testing.T) {
 		if _, err := ExploreRpStacksOpts(a, pts, opts); !errors.Is(err, context.Canceled) {
 			t.Fatalf("rpstacks (parallelism %d): err = %v, want context.Canceled", parallelism, err)
 		}
-		if _, err := ExploreSimOpts(cfg, nil, pts, opts); !errors.Is(err, context.Canceled) {
+		if _, err := Explore(SimEngine(cfg, nil), pts, opts); !errors.Is(err, context.Canceled) {
 			t.Fatalf("sim (parallelism %d): err = %v, want context.Canceled", parallelism, err)
 		}
 	}

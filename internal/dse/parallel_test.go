@@ -105,11 +105,11 @@ func TestParallelSweepsMatchSerial(t *testing.T) {
 		prof, _ := workload.ByName(wl.name)
 		simUOps := workload.Stream(prof, wl.seed, 1200)
 		simPts := pts[:4]
-		simSerial, err := ExploreSimOpts(cfg, simUOps, simPts, ExploreOptions{})
+		simSerial, err := Explore(SimEngine(cfg, simUOps), simPts, ExploreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		simPar, err := ExploreSimOpts(cfg, simUOps, simPts, ExploreOptions{Parallelism: 3, ChunkSize: 1})
+		simPar, err := Explore(SimEngine(cfg, simUOps), simPts, ExploreOptions{Parallelism: 3, ChunkSize: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/stacks"
+	"repro/internal/store"
 )
 
 // probelog.go — crash-safe search resume. A probe-logged search persists
@@ -72,25 +73,8 @@ func saveProbeChunk(dir string, fp []byte, idxs []uint64, cycles []float64) erro
 	for k, idx := range idxs {
 		ints[k] = int(idx) // NewSearchPlan bounds indices well under MaxInt
 	}
-	raw := encodeChunk([sha256.Size]byte(fp), ints, cycles)
-	tmp, err := os.CreateTemp(dir, "tmp-*")
-	if err != nil {
-		return fmt.Errorf("dse: creating probe-log temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(raw); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("dse: writing probe-log chunk: %w", err)
-	}
 	final := filepath.Join(dir, fmt.Sprintf("%s%012d", probePrefix, idxs[0]))
-	if err := os.Rename(tmpName, final); err != nil {
-		_ = os.Remove(tmpName)
+	if err := store.WriteFileAtomic(dir, "tmp-*", final, encodeChunk([sha256.Size]byte(fp), ints, cycles)); err != nil {
 		return fmt.Errorf("dse: publishing probe-log chunk: %w", err)
 	}
 	return nil

@@ -105,7 +105,7 @@ func TestSweepMonotonicitySim(t *testing.T) {
 		lo := quickPoint(base, words)
 		e, delta := quickAxis(axis, bump)
 		hi := lo.With(e, lo[e]+delta)
-		rep, err := ExploreSimOpts(cfg, uops, []stacks.Latencies{lo, hi}, ExploreOptions{Parallelism: 2})
+		rep, err := Explore(SimEngine(cfg, uops), []stacks.Latencies{lo, hi}, ExploreOptions{Parallelism: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

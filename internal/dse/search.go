@@ -3,16 +3,10 @@ package dse
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"time"
 
-	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/cpu"
-	"repro/internal/depgraph"
-	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/stacks"
 )
@@ -39,11 +33,11 @@ import (
 // differential tests prove it bit-for-bit across scalar, batched, parallel
 // and crash-resumed executions.
 //
-// Probes are evaluated in rounds through the same batched evaluators the
-// sweeps use, so results are bit-identical at every worker count and lane
-// width, a round can be served by the sweep fleet (SearchOptions.RoundEval),
-// and completed rounds persist into a probe log (SearchOptions.Checkpoint)
-// that a restarted search resumes from: the driver is deterministic, so the
+// Probes are evaluated in rounds through the same Engine lanes the sweeps
+// use, so results are bit-identical at every worker count and lane width,
+// a round can be served by the sweep fleet (SearchOptions.RoundEval), and
+// completed rounds persist into a probe log (SearchOptions.Checkpoint) that
+// a restarted search resumes from: the driver is deterministic, so the
 // replayed prefix re-derives the same decisions from cached probes without
 // touching the engine.
 
@@ -248,7 +242,7 @@ type SearchResult struct {
 	Frontier []SearchPoint `json:"frontier,omitempty"`
 	// Verified reports that every returned point was re-derived through
 	// SearchOptions.Verify; VerifyMaxErrPct is the worst CPI error seen.
-	Verified       bool    `json:"verified,omitempty"`
+	Verified        bool    `json:"verified,omitempty"`
 	VerifyMaxErrPct float64 `json:"verify_max_err_pct,omitempty"`
 	// Setup, Wall and Batch mirror Report: one-time engine preparation,
 	// search wall-clock, and the resolved probe lane width.
@@ -332,7 +326,11 @@ type searcher struct {
 	res    *SearchResult
 	budget float64 // target mode cycle budget
 	cache  map[uint64]float64
-	eval   func(parent uint64, pts []stacks.Latencies, out []float64) error
+	engine *Engine
+	// lanes holds one lane per worker, each built on that worker's first
+	// in-process round: a search whose every round opts.RoundEval serves
+	// never allocates one.
+	lanes  []lane
 	logDir string
 	fp     []byte
 	parent uint64 // search root span
@@ -375,7 +373,7 @@ func (s *searcher) probeRound(want []uint64) error {
 			copy(out, got)
 		}
 	} else {
-		err = s.eval(sp.ID(), pts, out)
+		err = s.evalRound(sp.ID(), pts, out)
 	}
 	sp.End()
 	if err != nil {
@@ -573,31 +571,61 @@ func (s *searcher) verify() error {
 	return nil
 }
 
-// runSearch is the engine-independent search driver. salt streams the
-// engine's identity into the search fingerprint; eval evaluates one round
-// in-process (nil only when opts.RoundEval serves every round).
-func runSearch(method string, salt func(io.Writer) error, base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions, batch int, eval func(parent uint64, pts []stacks.Latencies, out []float64) error) (*SearchResult, error) {
+// evalRound evaluates one probe round in-process through the engine's lanes,
+// sharding it over the configured workers through the same chunked sweep
+// the Explore engines use, so a round inherits their parallel scheduling,
+// chunk spans and chunk-granular cancellation — and each claimed chunk is
+// walked in width-sized lanes exactly as a sweep walks it.
+func (s *searcher) evalRound(parent uint64, pts []stacks.Latencies, out []float64) error {
+	if s.lanes == nil {
+		s.lanes = make([]lane, s.opts.workerCount(math.MaxInt))
+	}
+	width := s.res.Batch
+	eo := s.opts.ExploreOptions
+	eo.Checkpoint = nil // the probe log persists rounds, not chunks
+	eo.TraceParent = parent
+	_, _, err := sweep(len(pts), eo, func(worker, lo, hi int) error {
+		ln := s.lanes[worker]
+		if ln == nil {
+			ln = s.engine.lanes(width)
+			s.lanes[worker] = ln
+		}
+		for i := lo; i < hi; i += width {
+			j := min(i+width, hi)
+			if err := ln(pts[i:j], out[i:j]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return err
+}
+
+// Search runs a guided search probing design points through the engine,
+// with the same lanes and bit-identity guarantees as Explore: results are
+// identical at every worker count and lane width (SearchOptions.BatchSize;
+// an unset width takes a small fixed default, always 1 for the sim engine).
+// Off-axis events keep their base latencies. When opts.RoundEval serves the
+// rounds the engine is only fingerprinted, never evaluated.
+func Search(e *Engine, base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
 	plan, err := NewSearchPlan(space, spec)
 	if err != nil {
 		return nil, err
 	}
-	if eval == nil && opts.RoundEval == nil {
-		return nil, fmt.Errorf("dse: search has no round evaluator")
-	}
 	s := &searcher{
-		plan:  plan,
-		base:  base,
-		opts:  &opts,
-		cache: make(map[uint64]float64),
-		eval:  eval,
+		plan:   plan,
+		base:   base,
+		opts:   &opts,
+		cache:  make(map[uint64]float64),
+		engine: e,
 		res: &SearchResult{
 			Mode:       spec.Mode,
-			Method:     method,
+			Method:     e.method,
 			GridPoints: plan.GridPoints(),
 			Converged:  true,
 			Feasible:   true,
 			Setup:      opts.Setup,
-			Batch:      batch,
+			Batch:      e.searchWidth(opts.BatchSize),
 		},
 	}
 	if spec.Mode == SearchTarget {
@@ -610,12 +638,12 @@ func runSearch(method string, salt func(io.Writer) error, base stacks.Latencies,
 		s.budget = spec.TargetCPI * float64(opts.MicroOps)
 	}
 	root := opts.Tracer.StartChild(opts.TraceParent, obs.CatDSE, obs.NameSearch)
-	root.SetDetail(method + "/" + spec.Mode)
+	root.SetDetail(e.method + "/" + spec.Mode)
 	defer root.End()
 	s.parent = root.ID()
 
 	if opts.Checkpoint != nil || opts.NeedFingerprint {
-		fp, err := searchFingerprint(method, salt, plan, base)
+		fp, err := searchFingerprint(e.method, e.salt, plan, base)
 		if err != nil {
 			return nil, err
 		}
@@ -654,142 +682,7 @@ func SearchWith(base stacks.Latencies, space *Space, spec *SearchSpec, opts Sear
 	if opts.RoundEval == nil {
 		return nil, fmt.Errorf("dse: SearchWith needs SearchOptions.RoundEval")
 	}
-	return runSearch("custom", nil, base, space, spec, opts, 1, nil)
-}
-
-// SearchGraph runs a guided search probing design points through a prebuilt
-// dependence graph, with the same per-worker scalar/batched evaluators and
-// bit-identity guarantees as ExploreGraphOpts.
-func SearchGraph(g *depgraph.Graph, base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
-	nw := opts.workerCount(math.MaxInt)
-	width := opts.BatchSize
-	if width <= 0 {
-		width = searchDefaultBatch
-		if nodes := g.NumNodes(); nodes > 0 && width > maxGraphBatchInt64s/nodes {
-			if width = maxGraphBatchInt64s / nodes; width < 1 {
-				width = 1
-			}
-		}
-	}
-	if width <= 1 {
-		evals := make([]*depgraph.Evaluator, nw)
-		for i := range evals {
-			evals[i] = g.NewEvaluator()
-		}
-		return runSearch("graph", g.WriteFingerprint, base, space, spec, opts, 1,
-			scalarRoundEval(opts, func(worker int, pt *stacks.Latencies) (float64, error) {
-				return float64(evals[worker].LongestPath(pt)), nil
-			}))
-	}
-	bes := make([]*depgraph.BatchEvaluator, nw)
-	sinks := make([][]int64, nw)
-	for i := range bes {
-		bes[i] = g.NewBatchEvaluator(width)
-		sinks[i] = make([]int64, width)
-	}
-	return runSearch("graph", g.WriteFingerprint, base, space, spec, opts, width,
-		batchRoundEval(opts, width, func(worker int, lats []stacks.Latencies, out []float64) error {
-			sink := sinks[worker][:len(lats)]
-			bes[worker].LongestPaths(lats, sink)
-			for t, v := range sink {
-				out[t] = float64(v)
-			}
-			return nil
-		}))
-}
-
-// SearchRpStacks runs a guided search probing design points through a
-// prebuilt RpStacks analysis.
-func SearchRpStacks(a *core.Analysis, base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
-	salt := func(w io.Writer) error { return core.WriteAnalysis(w, a) }
-	width := opts.BatchSize
-	if width <= 0 {
-		width = searchDefaultBatch
-	}
-	if width <= 1 {
-		return runSearch("rpstacks", salt, base, space, spec, opts, 1,
-			scalarRoundEval(opts, func(_ int, pt *stacks.Latencies) (float64, error) {
-				return a.Predict(pt), nil
-			}))
-	}
-	nw := opts.workerCount(math.MaxInt)
-	bps := make([]*core.BatchPredictor, nw)
-	for i := range bps {
-		bps[i] = a.NewBatchPredictor(width)
-	}
-	return runSearch("rpstacks", salt, base, space, spec, opts, width,
-		batchRoundEval(opts, width, func(worker int, lats []stacks.Latencies, out []float64) error {
-			bps[worker].Predict(lats, out)
-			return nil
-		}))
-}
-
-// SearchSim runs a guided search measuring design points by re-running the
-// timing simulator — ground truth per probe, at ground-truth cost.
-func SearchSim(cfg *config.Config, uops []isa.MicroOp, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
-	return runSearch("simulator", simSalt(cfg, uops), cfg.Lat, space, spec, opts, 1,
-		scalarRoundEval(opts, func(_ int, pt *stacks.Latencies) (float64, error) {
-			c := cfg.Clone()
-			c.Lat = *pt
-			s, err := cpu.New(c)
-			if err != nil {
-				return 0, err
-			}
-			tr, err := s.Run(uops)
-			if err != nil {
-				return 0, err
-			}
-			return float64(tr.Cycles), nil
-		}))
-}
-
-// roundSweep shards one round's probe list over the configured workers
-// through the same chunked sweep the Explore engines use, so a round
-// inherits their parallel scheduling, chunk spans and chunk-granular
-// cancellation.
-func roundSweep(opts SearchOptions, parent uint64, n int, eval func(worker, lo, hi int) error) error {
-	eo := opts.ExploreOptions
-	eo.Checkpoint = nil // the probe log persists rounds, not chunks
-	eo.TraceParent = parent
-	_, _, err := sweep(n, eo, eval)
-	return err
-}
-
-// scalarRoundEval adapts a per-worker scalar point evaluator into the
-// search's round evaluator.
-func scalarRoundEval(opts SearchOptions, point func(worker int, pt *stacks.Latencies) (float64, error)) func(parent uint64, pts []stacks.Latencies, out []float64) error {
-	return func(parent uint64, pts []stacks.Latencies, out []float64) error {
-		return roundSweep(opts, parent, len(pts), func(worker, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				c, err := point(worker, &pts[i])
-				if err != nil {
-					return err
-				}
-				out[i] = c
-			}
-			return nil
-		})
-	}
-}
-
-// batchRoundEval adapts a per-worker K-wide batch evaluator into the
-// search's round evaluator, walking each claimed chunk in width-sized lanes
-// exactly as the batched sweeps do.
-func batchRoundEval(opts SearchOptions, width int, batch func(worker int, lats []stacks.Latencies, out []float64) error) func(parent uint64, pts []stacks.Latencies, out []float64) error {
-	return func(parent uint64, pts []stacks.Latencies, out []float64) error {
-		return roundSweep(opts, parent, len(pts), func(worker, lo, hi int) error {
-			for i := lo; i < hi; i += width {
-				j := i + width
-				if j > hi {
-					j = hi
-				}
-				if err := batch(worker, pts[i:j], out[i:j]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
+	return Search(&Engine{method: "custom", scalarOnly: true}, base, space, spec, opts)
 }
 
 // Exhaustive folds plan-ordered cycle counts (cycles[i] is the prediction

@@ -169,7 +169,7 @@ func TestSearchSimOracleVerification(t *testing.T) {
 	prof, _ := workload.ByName("429.mcf")
 	uops := workload.Stream(prof, 23, n)
 	oracle := &audit.SimOracle{Cfg: cfg, UOps: uops}
-	res, err := dse.SearchSim(cfg, uops, &dse.Space{Axes: []dse.Axis{
+	res, err := dse.Search(dse.SimEngine(cfg, uops), cfg.Lat, &dse.Space{Axes: []dse.Axis{
 		{Event: stacks.L1D, Values: []float64{1, 3}},
 		{Event: stacks.MemD, Values: []float64{66, 133}},
 	}}, &dse.SearchSpec{Mode: dse.SearchHalving}, dse.SearchOptions{

@@ -137,58 +137,30 @@ func sameSearch(t *testing.T, label string, a, b *SearchResult) {
 
 // TestSearchExhaustiveEquivalence proves the co-headline for the two model
 // engines: every mode, on every materializable test space, returns exactly
-// the exhaustive answer — under scalar, batched, parallel and
-// batched+parallel execution, which must also be bit-identical to each
-// other (the -race run of this test covers the parallel shards).
+// the exhaustive answer folded from the per-point scalar evaluators — under
+// every lane width, serial and parallel execution, which must also be
+// bit-identical to each other (the -race run of this test covers the
+// parallel shards).
 func TestSearchExhaustiveEquivalence(t *testing.T) {
 	const microOps = 2500
 	cfg, _, g, a := searchSubstrate(t, "437.leslie3d", 11, microOps)
 	engines := []struct {
-		name   string
-		search func(*Space, *SearchSpec, SearchOptions) (*SearchResult, error)
-		sweep  func([]stacks.Latencies) []float64
+		name string
+		eng  *Engine
+		g    *depgraph.Graph
+		a    *core.Analysis
 	}{
-		{
-			name: "graph",
-			search: func(sp *Space, spec *SearchSpec, o SearchOptions) (*SearchResult, error) {
-				return SearchGraph(g, cfg.Lat, sp, spec, o)
-			},
-			sweep: func(pts []stacks.Latencies) []float64 {
-				rep, err := ExploreGraphOpts(g, pts, ExploreOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				out := make([]float64, len(rep.Results))
-				for i, r := range rep.Results {
-					out[i] = r.Cycles
-				}
-				return out
-			},
-		},
-		{
-			name: "rpstacks",
-			search: func(sp *Space, spec *SearchSpec, o SearchOptions) (*SearchResult, error) {
-				return SearchRpStacks(a, cfg.Lat, sp, spec, o)
-			},
-			sweep: func(pts []stacks.Latencies) []float64 {
-				rep, err := ExploreRpStacksOpts(a, pts, ExploreOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				out := make([]float64, len(rep.Results))
-				for i, r := range rep.Results {
-					out[i] = r.Cycles
-				}
-				return out
-			},
-		},
+		{name: "graph", eng: GraphEngine(g), g: g},
+		{name: "rpstacks", eng: RpStacksEngine(a), a: a},
 	}
 	shapes := []SearchOptions{
-		{},                                         // serial scalar rounds (default width stays batched)
-		{ExploreOptions: ExploreOptions{BatchSize: 1}},                   // forced scalar
-		{ExploreOptions: ExploreOptions{BatchSize: 4}},                   // narrow lanes
-		{ExploreOptions: ExploreOptions{Parallelism: 4, ChunkSize: 1}},   // parallel
-		{ExploreOptions: ExploreOptions{Parallelism: 3, BatchSize: 8}},   // parallel + batched
+		{}, // serial rounds at the default width
+		{ExploreOptions: ExploreOptions{BatchSize: 1}},                 // scalar lanes
+		{ExploreOptions: ExploreOptions{BatchSize: 2}},                 // narrowest batch
+		{ExploreOptions: ExploreOptions{BatchSize: 7}},                 // ragged lanes
+		{ExploreOptions: ExploreOptions{BatchSize: 16}},                // wide lanes
+		{ExploreOptions: ExploreOptions{Parallelism: 4, ChunkSize: 1}}, // parallel, tiny chunks
+		{ExploreOptions: ExploreOptions{Parallelism: 3, BatchSize: 8}}, // parallel + batched
 	}
 	for _, eng := range engines {
 		for si, space := range searchSpaces() {
@@ -200,7 +172,7 @@ func TestSearchExhaustiveEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cycles := eng.sweep(pts)
+			cycles := truthCycles(scalarTruth(t, eng.name, cfg, nil, eng.g, eng.a, pts))
 			specs := []*SearchSpec{
 				{Mode: SearchHalving},
 				{Mode: SearchHalving, Cost: []CostWeight{{Event: stacks.L1D, Weight: 2.5}}},
@@ -219,7 +191,7 @@ func TestSearchExhaustiveEquivalence(t *testing.T) {
 				var first *SearchResult
 				for sh, opts := range shapes {
 					opts.MicroOps = microOps
-					res, err := eng.search(space, spec, opts)
+					res, err := Search(eng.eng, cfg.Lat, space, spec, opts)
 					if err != nil {
 						t.Fatalf("%s space %d spec %q shape %d: %v", eng.name, si, spec, sh, err)
 					}
@@ -242,7 +214,8 @@ func TestSearchExhaustiveEquivalence(t *testing.T) {
 
 // TestSearchSimEquivalence runs the same differential against the
 // re-simulation engine on a tiny stream: every probe is ground truth, so
-// the search answer must match the exhaustive simulated sweep exactly.
+// the search answer must match the exhaustive answer folded from fresh
+// per-point simulations exactly.
 func TestSearchSimEquivalence(t *testing.T) {
 	const microOps = 400
 	cfg, uops, _, _ := searchSubstrate(t, "429.mcf", 17, microOps)
@@ -259,14 +232,7 @@ func TestSearchSimEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ExploreSimOpts(cfg, uops, pts, ExploreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycles := make([]float64, len(rep.Results))
-	for i, r := range rep.Results {
-		cycles[i] = r.Cycles
-	}
+	cycles := truthCycles(scalarTruth(t, "sim", cfg, uops, nil, nil, pts))
 	specs := []*SearchSpec{{Mode: SearchHalving}, {Mode: SearchPareto}}
 	specs = append(specs, targetSpecs(cycles, microOps)...)
 	for _, spec := range specs {
@@ -279,7 +245,7 @@ func TestSearchSimEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, opts := range []SearchOptions{{MicroOps: microOps}, {MicroOps: microOps, ExploreOptions: ExploreOptions{Parallelism: 2, ChunkSize: 1}}} {
-			res, err := SearchSim(cfg, uops, space, spec, opts)
+			res, err := Search(SimEngine(cfg, uops), cfg.Lat, space, spec, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,6 +254,15 @@ func TestSearchSimEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// truthCycles projects scalarTruth's results onto their cycle counts.
+func truthCycles(rs []Result) []float64 {
+	out := make([]float64, len(rs))
+	for i, r := range rs {
+		out[i] = r.Cycles
+	}
+	return out
 }
 
 // TestSearchCrashResume kills a probe-logged search mid-round via the

@@ -62,8 +62,8 @@ type ExploreOptions struct {
 	NeedFingerprint bool
 	// BatchSize is the number of design points a batch-capable engine
 	// (graph, rpstacks) evaluates per pass over its model — the lane count
-	// of depgraph.BatchEvaluator / core.BatchPredictor. 1 forces the scalar
-	// per-point path; 0, the default, picks a width by a small autotune over
+	// of depgraph.BatchEvaluator / core.BatchPredictor. 1 runs lanes that
+	// wrap the engine's scalar per-point evaluator; 0, the default, picks a width by a small autotune over
 	// candidate lane widths (see pickBatchWidth). Batching is an execution
 	// detail, not an input: results, sweep fingerprints and checkpoint
 	// chunks are bit-identical across every BatchSize, so a checkpoint

@@ -71,10 +71,7 @@ func TestTraceCoversSweepWall(t *testing.T) {
 	// First pass: evaluate half the points, then abandon the rest, leaving
 	// published chunks behind for the traced run to restore.
 	half := pts[:20]
-	rep1 := &Report{Method: "graph", Results: make([]Result, len(half))}
-	ev := g.NewEvaluator()
-	err := runPoints(rep1, half, ExploreOptions{Checkpoint: &Checkpoint{Dir: dir}, ChunkSize: 5},
-		g.WriteFingerprint, engineEval{point: func(_, i int) (float64, error) { return float64(ev.LongestPath(&half[i])), nil }})
+	_, err := Explore(GraphEngine(g), half, ExploreOptions{Checkpoint: &Checkpoint{Dir: dir}, ChunkSize: 5, BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +79,7 @@ func TestTraceCoversSweepWall(t *testing.T) {
 	// so re-fingerprint trickery is not what we test here: resume the same
 	// half-list sweep, then run the full list fresh with parallel workers.
 	tr := obs.NewTracer(4096)
-	rep2 := &Report{Method: "graph", Results: make([]Result, len(half))}
-	err = runPoints(rep2, half, ExploreOptions{Checkpoint: &Checkpoint{Dir: dir}, ChunkSize: 5, Parallelism: 4, Tracer: tr},
-		g.WriteFingerprint, engineEval{point: func(_, i int) (float64, error) { return float64(ev.LongestPath(&half[i])), nil }})
+	rep2, err := Explore(GraphEngine(g), half, ExploreOptions{Checkpoint: &Checkpoint{Dir: dir}, ChunkSize: 5, Parallelism: 4, Tracer: tr, BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,8 +63,9 @@ func (r *Runner) Fig13(names []string) (*Fig13Result, error) {
 		// The engines record their own setup cost (simulate + analyze for
 		// RpStacks; the graph rides on the same simulation) in the Report,
 		// so the crossover math below uses the reports directly.
+		rpE, grE := dse.RpStacksEngine(a.Analysis), dse.GraphEngine(a.Graph)
 		setup := dse.ExploreOptions{Setup: a.SimTime + a.AnalyzeTime}
-		rp, _ := dse.ExploreRpStacksOpts(a.Analysis, points, setup)
+		rp, _ := dse.Explore(rpE, points, setup)
 		row.Setup = rp.Setup
 		row.RpPoint = rp.PerPoint
 		// Time the graph reconstruction on a slice of the space (it is two
@@ -73,14 +74,14 @@ func (r *Runner) Fig13(names []string) (*Fig13Result, error) {
 		if len(gpts) > 32 {
 			gpts = gpts[:32]
 		}
-		gr := dse.ExploreGraph(a.Graph, gpts)
+		gr, _ := dse.Explore(grE, gpts, dse.ExploreOptions{})
 		row.GraphPoint = gr.PerPoint
 
 		// Sharded sweeps of the same point lists: identical Results, the
 		// wall-clock divided across the runner's workers.
 		par := dse.ExploreOptions{Parallelism: r.Parallelism}
-		rpPar, _ := dse.ExploreRpStacksOpts(a.Analysis, points, par)
-		grPar, _ := dse.ExploreGraphOpts(a.Graph, gpts, par)
+		rpPar, _ := dse.Explore(rpE, points, par)
+		grPar, _ := dse.Explore(grE, gpts, par)
 		row.Workers = len(rpPar.Workers)
 		if rpPar.Wall > 0 {
 			row.RpPar = float64(rp.Wall) / float64(rpPar.Wall)

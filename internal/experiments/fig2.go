@@ -60,9 +60,9 @@ func (r *Runner) Fig2(name string) (*Fig2Result, error) {
 	points := fig13Space(r.Cfg.Lat)
 	// The per-point cost model is measured serially (Figure 2b plots the
 	// single-core method cost); the sharded sweep is timed against it.
-	serial, _ := dse.ExploreRpStacksOpts(a.Analysis, points, dse.ExploreOptions{})
+	serial, _ := dse.Explore(dse.RpStacksEngine(a.Analysis), points, dse.ExploreOptions{})
 	perPred := serial.PerPoint
-	par, _ := dse.ExploreRpStacksOpts(a.Analysis, points, dse.ExploreOptions{Parallelism: r.Parallelism})
+	par, _ := dse.Explore(dse.RpStacksEngine(a.Analysis), points, dse.ExploreOptions{Parallelism: r.Parallelism})
 	speedup := 0.0
 	if par.Wall > 0 {
 		speedup = float64(serial.Wall) / float64(par.Wall)

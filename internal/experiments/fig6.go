@@ -101,8 +101,8 @@ func (r *Runner) Fig6(name string) (*Fig6Result, error) {
 	// and count points meeting the design goal (here: 10% CPI improvement
 	// over baseline).
 	res.TargetCPI = a.Trace.CPI() * 0.9
-	serial, _ := dse.ExploreRpStacksOpts(a.Analysis, points, dse.ExploreOptions{})
-	rep, _ := dse.ExploreRpStacksOpts(a.Analysis, points, dse.ExploreOptions{Parallelism: r.Parallelism})
+	serial, _ := dse.Explore(dse.RpStacksEngine(a.Analysis), points, dse.ExploreOptions{})
+	rep, _ := dse.Explore(dse.RpStacksEngine(a.Analysis), points, dse.ExploreOptions{Parallelism: r.Parallelism})
 	res.SweepTime = rep.Wall
 	res.SerialTime = serial.Wall
 	res.Workers = len(rep.Workers)
@@ -211,7 +211,7 @@ func (r *Runner) Fig6c(name string, budgetPoints int) (*Fig6cResult, error) {
 	// sharded sweep's effective per-point rate (wall / points) is what the
 	// budget buys on this host; the engine records its own setup cost.
 	points := fig13Space(r.Cfg.Lat)
-	rp, _ := dse.ExploreRpStacksOpts(a.Analysis, points,
+	rp, _ := dse.Explore(dse.RpStacksEngine(a.Analysis), points,
 		dse.ExploreOptions{Parallelism: r.Parallelism, Setup: a.SimTime + a.AnalyzeTime})
 	covered := 0
 	if budget > rp.Setup && rp.PerPoint > 0 {

@@ -73,12 +73,24 @@ type Coordinator struct {
 	// timeline after Run returns. fragOrder is the eviction order.
 	frags     map[string][]*obs.Fragment
 	fragOrder []string
+
+	// assembled remembers recently assembled sweeps (FIFO-bounded at
+	// assembledRetain) after their last Run caller unregisters them, so a
+	// straggler's late completion can still be recognised and its freshly
+	// re-published blobs deleted. assembledOrder is the eviction order.
+	assembled      map[string]bool
+	assembledOrder []string
 }
 
 // fragRetain bounds how many finished sweeps' fragment sets the coordinator
 // keeps for merged-timeline queries — same spirit as the tracer ring: recent
 // history, never growth.
 const fragRetain = 8
+
+// assembledRetain bounds how many assembled sweep ids the coordinator keeps
+// for late-completion cleanup. A straggler later than that leaves its blob
+// behind like a crashed worker would: resume state nobody will read.
+const assembledRetain = 64
 
 // sweepState is one registered sweep's mutable ledger; all fields are
 // guarded by Coordinator.mu except done/report/err, which are written once
@@ -165,6 +177,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		leases:       make(map[uint64]*lease),
 		workers:      make(map[string]time.Time),
 		frags:        make(map[string][]*obs.Fragment),
+		assembled:    make(map[string]bool),
 	}
 	c.metrics = newCoordMetrics(cfg.Registry, c)
 	c.mux = http.NewServeMux()
@@ -194,8 +207,8 @@ func (c *Coordinator) Run(ctx context.Context, sw Sweep) (*dse.Report, error) {
 	if len(sw.Fingerprint) != sha256.Size {
 		return nil, fmt.Errorf("fleet: sweep fingerprint must be %d bytes, got %d", sha256.Size, len(sw.Fingerprint))
 	}
-	if _, err := methodName(sw.Spec.Engine); err != nil {
-		return nil, err
+	if _, err := dse.EngineMethod(sw.Spec.Engine); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	if sw.Explicit && len(sw.Points) > maxExplicitPoints {
 		return nil, fmt.Errorf("fleet: explicit sweep has %d points, limit %d (probe rounds are expected to stay small)",
@@ -396,7 +409,7 @@ func (c *Coordinator) finishLocked(st *sweepState) {
 		return
 	}
 	c.collectFragmentsLocked(st)
-	method, _ := methodName(sw.Spec.Engine)
+	method, _ := dse.EngineMethod(sw.Spec.Engine)
 	rep := &dse.Report{
 		Method:      method,
 		Results:     results,
@@ -429,7 +442,26 @@ func (c *Coordinator) finishLocked(st *sweepState) {
 	for i := range st.chunks {
 		c.shared.Delete(chunkKey(st.id, i))
 	}
+	if !c.assembled[st.id] {
+		c.assembled[st.id] = true
+		c.assembledOrder = append(c.assembledOrder, st.id)
+		for len(c.assembledOrder) > assembledRetain {
+			delete(c.assembled, c.assembledOrder[0])
+			c.assembledOrder = c.assembledOrder[1:]
+		}
+	}
 	close(st.done)
+}
+
+// dropLateBlobsLocked deletes the chunk and fragment blobs a straggler
+// published after its sweep was assembled. Assembly already deleted every
+// blob the report was built from, so anything under these keys now was
+// written by the late worker, which always publishes before it completes —
+// deleting here, on its completion, leaves nothing behind. Called with mu
+// held.
+func (c *Coordinator) dropLateBlobsLocked(sweepID string, chunk int) {
+	c.shared.Delete(chunkKey(sweepID, chunk))
+	c.shared.Delete(fragKey(sweepID, chunk))
 }
 
 // collectFragmentsLocked gathers the trace fragments workers published
@@ -825,6 +857,13 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	st, ok := c.sweeps[req.SweepID]
 	if !ok {
+		if c.assembled[req.SweepID] && req.Chunk >= 0 {
+			// A straggler of a sweep that is assembled and unregistered.
+			c.dropLateBlobsLocked(req.SweepID, req.Chunk)
+			c.metrics.completed.With("duplicate").Inc()
+			fleetJSON(w, http.StatusOK, completeResponse{Status: "duplicate"})
+			return
+		}
 		fleetErr(w, http.StatusNotFound, "unknown sweep %q", req.SweepID)
 		return
 	}
@@ -846,6 +885,9 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// First-writer-wins: a second completion of a stolen (or re-leased)
 		// chunk is an idempotent acknowledgment, never an error.
 		delete(c.leases, req.Lease)
+		if st.report != nil {
+			c.dropLateBlobsLocked(st.id, req.Chunk)
+		}
 		c.metrics.completed.With("duplicate").Inc()
 		fleetJSON(w, http.StatusOK, completeResponse{Status: "duplicate"})
 		return

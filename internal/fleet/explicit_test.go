@@ -72,7 +72,7 @@ func TestFleetExplicitSweep(t *testing.T) {
 			case "rpstacks":
 				sw.Fingerprint, err = dse.SweepFingerprintRpStacks(env.app.Analysis, pts)
 			case "sim":
-				sw.Fingerprint, err = dse.SweepFingerprintSim(env.runner.Cfg, env.app.UOps, pts)
+				sw.Fingerprint, err = dse.SweepFingerprint(dse.SimEngine(env.runner.Cfg, env.app.UOps), pts)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -99,18 +99,6 @@ func parseAxes(axes []string) (dse.Space, error) {
 	return sp, nil
 }
 
-// methodName maps a SweepSpec engine to the dse Report method string the
-// fingerprint is salted with.
-func methodName(engine string) (string, error) {
-	switch engine {
-	case "rpstacks", "graph":
-		return engine, nil
-	case "sim":
-		return "simulator", nil
-	}
-	return "", fmt.Errorf("fleet: unknown engine %q", engine)
-}
-
 // chunkKey addresses one chunk's result blob in the shared store root. The
 // sweep id is the hex fingerprint, so a blob can never be attributed to the
 // wrong sweep even before its embedded fingerprint is checked.
@@ -135,8 +123,8 @@ type Sweep struct {
 	// Points is the enumerated design-point list (row-major over Spec.Axes
 	// on the baseline latencies — what the workers will re-derive).
 	Points []stacks.Latencies
-	// Fingerprint is the sweep identity hash from the matching
-	// dse.SweepFingerprint* helper; its hex form is the sweep id.
+	// Fingerprint is the sweep identity hash dse.SweepFingerprint computes
+	// for the spec's engine; its hex form is the sweep id.
 	Fingerprint []byte
 	// ChunkSize is the points-per-lease granularity (0: ~32 chunks).
 	ChunkSize int

@@ -83,9 +83,9 @@ func testFleetEnv(t *testing.T) *fleetEnv {
 					fp, err = dse.SweepFingerprintRpStacks(app.Analysis, e.points)
 				}
 			case "sim":
-				rep, err = dse.ExploreSimOpts(r.Cfg, app.UOps, e.points, opts)
+				rep, err = dse.Explore(dse.SimEngine(r.Cfg, app.UOps), e.points, opts)
 				if err == nil {
-					fp, err = dse.SweepFingerprintSim(r.Cfg, app.UOps, e.points)
+					fp, err = dse.SweepFingerprint(dse.SimEngine(r.Cfg, app.UOps), e.points)
 				}
 			}
 			if err != nil {

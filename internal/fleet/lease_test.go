@@ -354,3 +354,46 @@ func TestCompleteWithoutBlob(t *testing.T) {
 	}
 	e.finish()
 }
+
+// TestStragglerBlobsAfterAssembly: the worker that lost a stolen chunk
+// publishes its blobs only after the sweep is assembled and unregistered —
+// assembly's cleanup is already over. Its completion is still acknowledged
+// as a duplicate, and it deletes what the straggler re-published, so the
+// shared root holds nothing of the finished sweep.
+func TestStragglerBlobsAfterAssembly(t *testing.T) {
+	e := newProtoEnv(t, time.Hour, 4, 2) // 2 chunks
+	slow := e.mustLease("w1")            // chunk 0, the straggler
+	g := e.mustLease("w2")
+	e.publish(g.Lo, g.Hi, g.Chunk)
+	if st, resp := e.complete("w2", g.Lease, g.Chunk); st != http.StatusOK || resp.Status != "ok" {
+		t.Fatalf("chunk %d completion: HTTP %d %q", g.Chunk, st, resp.Status)
+	}
+	stolen := e.mustLease("w2")
+	if stolen.Chunk != 0 || !stolen.Stolen {
+		t.Fatalf("grant = chunk %d stolen=%v, want stolen chunk 0", stolen.Chunk, stolen.Stolen)
+	}
+	e.publish(stolen.Lo, stolen.Hi, 0)
+	if st, resp := e.complete("w2", stolen.Lease, 0); st != http.StatusOK || resp.Status != "ok" {
+		t.Fatalf("stolen completion: HTTP %d %q", st, resp.Status)
+	}
+	e.finish()
+	if n := e.coord.activeSweeps(); n != 0 {
+		t.Fatalf("activeSweeps = %d after Run returned, want 0", n)
+	}
+
+	e.publish(slow.Lo, slow.Hi, 0)
+	if _, err := e.shared.Put(fragKey(e.id, 0), []byte("late fragment")); err != nil {
+		t.Fatal(err)
+	}
+	if st, resp := e.complete("w1", slow.Lease, 0); st != http.StatusOK || resp.Status != "duplicate" {
+		t.Fatalf("straggler completion: HTTP %d %q, want 200 duplicate", st, resp.Status)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := e.shared.Get(chunkKey(e.id, i)); ok {
+			t.Errorf("chunk %d blob survived the straggler's completion", i)
+		}
+	}
+	if _, ok := e.shared.Get(fragKey(e.id, 0)); ok {
+		t.Error("straggler's fragment blob survived its completion")
+	}
+}

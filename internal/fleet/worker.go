@@ -97,7 +97,7 @@ type workerSweep struct {
 	info   sweepInfo
 	points []stacks.Latencies
 	fp     []byte
-	run    func(pts []stacks.Latencies, opts dse.ExploreOptions) (*dse.Report, error)
+	engine *dse.Engine
 	// batch is the lane width chunks evaluate at. It starts as the spec's;
 	// when that is 0 (autotune) the first chunk's resolved width is cached
 	// here so later chunks skip the autotune probe.
@@ -347,7 +347,7 @@ func (w *Worker) handleLease(ctx context.Context, grant leaseResponse, csync obs
 	esp.SetDetail(fmt.Sprintf("%s chunk %d", shortID(grant.SweepID), grant.Chunk))
 	esp.SetArg(obs.ArgPoints, int64(len(pts)))
 	evalStart := time.Now()
-	rep, err := ws.run(pts, dse.ExploreOptions{
+	rep, err := dse.Explore(ws.engine, pts, dse.ExploreOptions{
 		Parallelism: w.conc,
 		BatchSize:   ws.batch,
 		Context:     ctx,
@@ -417,8 +417,13 @@ func (w *Worker) handleLease(ctx context.Context, grant leaseResponse, csync obs
 		w.collector.drain() // untraced sweep: discard, keep the collector bounded
 	}
 
+	// The completion call outlives a cancellation that lands after the blob
+	// is published: the coordinator must hear of every blob a worker writes,
+	// or a straggler's copy re-published after assembly would be left behind.
+	cctx, cancelComplete := context.WithTimeout(context.WithoutCancel(ctx), completeTimeout)
+	defer cancelComplete()
 	var cresp completeResponse
-	status, err := w.postJSON(ctx, "/fleet/v1/complete", completeRequest{
+	status, err := w.postJSON(cctx, "/fleet/v1/complete", completeRequest{
 		Worker:         w.id,
 		Lease:          grant.Lease,
 		SweepID:        grant.SweepID,
@@ -429,9 +434,6 @@ func (w *Worker) handleLease(ctx context.Context, grant leaseResponse, csync obs
 	}, &cresp)
 	switch {
 	case err != nil:
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
 		// The blob is published; a restarted coordinator restores it even if
 		// this completion call was lost.
 		w.logger.Warn("fleet: completion call failed", slog.Int("chunk", grant.Chunk), slog.Any("err", err))
@@ -447,8 +449,15 @@ func (w *Worker) handleLease(ctx context.Context, grant leaseResponse, csync obs
 			slog.Bool("dup_blob", dup),
 			slog.String("result", cresp.Status))
 	}
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
 	return nil
 }
+
+// completeTimeout bounds the completion call, which runs detached from the
+// worker's context so a cancellation cannot strand a just-published blob.
+const completeTimeout = 10 * time.Second
 
 // errSweepGone marks a sweep the coordinator no longer knows — a soft fault.
 type errSweepGone struct{ id string }
@@ -516,8 +525,8 @@ func (w *Worker) runner(spec SweepSpec) *experiments.Runner {
 // so equality means the worker will produce bit-identical results.
 func (w *Worker) buildSweep(info sweepInfo) (*workerSweep, error) {
 	spec := info.Spec
-	if _, err := methodName(spec.Engine); err != nil {
-		return nil, err
+	if _, err := dse.EngineMethod(spec.Engine); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	r := w.runner(spec)
 	app, err := r.App(spec.Workload)
@@ -539,15 +548,11 @@ func (w *Worker) buildSweep(info sweepInfo) (*workerSweep, error) {
 		return nil, fmt.Errorf("fleet: sweep %s: rebuilt %d points, coordinator has %d",
 			shortID(info.ID), len(points), info.Points)
 	}
-	var fp []byte
-	switch spec.Engine {
-	case "graph":
-		fp, err = dse.SweepFingerprintGraph(app.Graph, points)
-	case "rpstacks":
-		fp, err = dse.SweepFingerprintRpStacks(app.Analysis, points)
-	case "sim":
-		fp, err = dse.SweepFingerprintSim(r.Cfg, app.UOps, points)
+	eng, err := dse.NewEngine(spec.Engine, dse.EngineInputs{Analysis: app.Analysis, Graph: app.Graph, Cfg: r.Cfg, UOps: app.UOps})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
+	fp, err := dse.SweepFingerprint(eng, points)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: fingerprinting sweep %s: %w", shortID(info.ID), err)
 	}
@@ -555,22 +560,7 @@ func (w *Worker) buildSweep(info sweepInfo) (*workerSweep, error) {
 		return nil, fmt.Errorf("fleet: rebuilt fingerprint %s disagrees with coordinator sweep %s — refusing to evaluate",
 			shortID(hex.EncodeToString(fp)), shortID(info.ID))
 	}
-	ws := &workerSweep{info: info, points: points, fp: fp, batch: spec.BatchSize}
-	switch spec.Engine {
-	case "graph":
-		ws.run = func(pts []stacks.Latencies, opts dse.ExploreOptions) (*dse.Report, error) {
-			return dse.ExploreGraphOpts(app.Graph, pts, opts)
-		}
-	case "rpstacks":
-		ws.run = func(pts []stacks.Latencies, opts dse.ExploreOptions) (*dse.Report, error) {
-			return dse.ExploreRpStacksOpts(app.Analysis, pts, opts)
-		}
-	case "sim":
-		ws.run = func(pts []stacks.Latencies, opts dse.ExploreOptions) (*dse.Report, error) {
-			return dse.ExploreSimOpts(r.Cfg, app.UOps, pts, opts)
-		}
-	}
-	return ws, nil
+	return &workerSweep{info: info, points: points, fp: fp, engine: eng, batch: spec.BatchSize}, nil
 }
 
 // postJSON posts req to the coordinator path and decodes the response into

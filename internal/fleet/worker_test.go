@@ -2,12 +2,15 @@ package fleet
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/stacks"
 	"repro/internal/store"
 )
 
@@ -75,5 +78,30 @@ func TestWorkerDrainStopsRun(t *testing.T) {
 	defer cancel()
 	if err := w.Run(ctx); err != nil {
 		t.Fatalf("drained Run = %v, want nil", err)
+	}
+}
+
+// TestUnknownEngineRefused: a sweep naming an engine outside the resolver's
+// table is refused by the coordinator before it is registered and by a
+// worker before it rebuilds any inputs.
+func TestUnknownEngineRefused(t *testing.T) {
+	w := testWorkerOnly(t)
+	spec := SweepSpec{Workload: "429.mcf", Seed: 1, MicroOps: 100, Engine: "oracle", Axes: []string{"L1D=1,2"}}
+	if _, err := w.buildSweep(sweepInfo{ID: "00", Spec: spec, Points: 2}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+		t.Fatalf("worker buildSweep = %v, want an unknown-engine refusal", err)
+	}
+
+	shared, err := store.OpenShared(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(CoordinatorConfig{Shared: shared})
+	_, err = coord.Run(context.Background(), Sweep{
+		Spec:        spec,
+		Points:      make([]stacks.Latencies, 2),
+		Fingerprint: make([]byte, sha256.Size),
+	})
+	if err == nil || !strings.Contains(err.Error(), "unknown engine") {
+		t.Fatalf("coordinator Run = %v, want an unknown-engine refusal", err)
 	}
 }

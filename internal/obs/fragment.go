@@ -65,8 +65,7 @@ const fragMagic = "RPFRG1"
 const fragOverhead = len(fragMagic) + sha256.Size + 8 + sha256.Size
 
 // EncodeFragment renders frag as a proof-carrying blob bound to the sweep
-// identity fingerprint (a full SHA-256, as the dse.SweepFingerprint* helpers
-// return).
+// identity fingerprint (a full SHA-256, as dse.SweepFingerprint returns).
 func EncodeFragment(fingerprint []byte, frag *Fragment) ([]byte, error) {
 	if len(fingerprint) != sha256.Size {
 		return nil, fmt.Errorf("obs: fragment fingerprint must be %d bytes, got %d", sha256.Size, len(fingerprint))

@@ -4,14 +4,12 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/fleet"
-	"repro/internal/isa"
 	"repro/internal/stacks"
 )
 
@@ -43,21 +41,10 @@ func fleetDefaultsMatch(cfg *config.Config, opts core.Options) bool {
 // published chunks assemble into the Report.
 // explicit marks point lists that are not the space's enumeration (a guided
 // search's probe round); the coordinator then ships them to workers.
-func (s *Server) fleetSweep(ctx context.Context, job *Job, points []stacks.Latencies,
-	art *setupArtifacts, uops []isa.MicroOp, setupWall time.Duration, explicit bool) (*dse.Report, error) {
+func (s *Server) fleetSweep(ctx context.Context, job *Job, eng *dse.Engine, points []stacks.Latencies,
+	setupWall time.Duration, explicit bool) (*dse.Report, error) {
 	spec := job.Spec
-	var fp []byte
-	var err error
-	switch spec.Engine {
-	case "graph":
-		fp, err = dse.SweepFingerprintGraph(art.graph, points)
-	case "rpstacks":
-		fp, err = dse.SweepFingerprintRpStacks(art.analysis, points)
-	case "sim":
-		fp, err = dse.SweepFingerprintSim(s.cfg.BaseConfig, uops, points)
-	default:
-		err = fmt.Errorf("serve: unknown engine %q", spec.Engine)
-	}
+	fp, err := dse.SweepFingerprint(eng, points)
 	if err != nil {
 		return nil, err
 	}

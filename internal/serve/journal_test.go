@@ -581,6 +581,9 @@ func TestDebugStatus(t *testing.T) {
 		Store:            st,
 		SLOTargets:       map[string]time.Duration{"rpstacks": time.Hour},
 	})
+	// Drain before the temp store is removed: job workers may still be
+	// persisting into it when the assertions finish.
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

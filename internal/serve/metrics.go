@@ -117,7 +117,7 @@ func newMetrics() *metrics {
 	for _, st := range jobStatuses {
 		m.finished.With(string(st))
 	}
-	for _, engine := range engineNames {
+	for _, engine := range dse.EngineNames {
 		m.sweeps.With(engine)
 	}
 	for _, stage := range stageNames {

@@ -13,9 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// engineNames are the sweep engines a job may request, in render order.
-var engineNames = []string{"rpstacks", "graph", "sim"}
-
 // Limits bounds what one job request may ask of the service, and carries
 // the defaults applied to omitted fields. Every bound is enforced by
 // ParseJobRequest before a job touches the queue, mirroring the
@@ -185,14 +182,11 @@ func (req *JobRequest) validate(lim Limits) (*JobSpec, error) {
 	if spec.Engine == "" {
 		spec.Engine = "rpstacks"
 	}
-	switch spec.Engine {
-	case "rpstacks", "graph":
-	case "sim":
-		if req.TraceB64 != "" {
-			return nil, fmt.Errorf("serve: the sim engine re-simulates and needs a named workload, not a trace upload")
-		}
-	default:
-		return nil, fmt.Errorf("serve: unknown engine %q (want rpstacks, graph or sim)", req.Engine)
+	if _, err := dse.EngineMethod(spec.Engine); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	if spec.Engine == "sim" && req.TraceB64 != "" {
+		return nil, fmt.Errorf("serve: the sim engine re-simulates and needs a named workload, not a trace upload")
 	}
 
 	// Axes and grid size, via the same parser as cmd/rpexplore's -axis.

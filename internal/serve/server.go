@@ -545,6 +545,14 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 		return nil, err
 	}
 	setupWall := time.Since(setupStart)
+	in := dse.EngineInputs{Cfg: s.cfg.BaseConfig, UOps: uops}
+	if art != nil {
+		in.Analysis, in.Graph = art.analysis, art.graph
+	}
+	eng, err := dse.NewEngine(spec.Engine, in)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 
 	// Phase 3: the sweep, cancellable at chunk granularity. The sweep root
 	// span is created by the dse driver itself, nested under the job.
@@ -555,7 +563,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 	if spec.Search != nil {
 		// Guided search: probes the space lazily — never materialize the
 		// grid, which may be far beyond MaxGridPoints for search jobs.
-		return s.executeSearch(ctx, job, tr, uops, art, digest, setupWall, cached, par)
+		return s.executeSearch(ctx, job, eng, tr, art, digest, setupWall, cached, par)
 	}
 	points := spec.Space.Enumerate(s.cfg.BaseConfig.Lat)
 	opts := dse.ExploreOptions{
@@ -570,22 +578,12 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 		NeedFingerprint: spec.AuditFraction > 0,
 	}
 	var rep *dse.Report
-	var err error
 	if s.fleet != nil && s.fleetEligible && spec.Trace == nil {
 		// Distributed sweep: workers regenerate the engine inputs from the
 		// job recipe; uploaded traces have no recipe and stay local.
-		rep, err = s.fleetSweep(ctx, job, points, art, uops, setupWall, false)
+		rep, err = s.fleetSweep(ctx, job, eng, points, setupWall, false)
 	} else {
-		switch spec.Engine {
-		case "rpstacks":
-			rep, err = dse.ExploreRpStacksOpts(art.analysis, points, opts)
-		case "graph":
-			rep, err = dse.ExploreGraphOpts(art.graph, points, opts)
-		case "sim":
-			rep, err = dse.ExploreSimOpts(s.cfg.BaseConfig, uops, points, opts)
-		default:
-			err = fmt.Errorf("serve: unknown engine %q", spec.Engine)
-		}
+		rep, err = dse.Explore(eng, points, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -610,7 +608,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 // round becomes one distributed sweep over the round's points), online
 // verification of every returned optimum through an audit oracle, and the
 // rendering of the SearchResult into the job's result shape.
-func (s *Server) executeSearch(ctx context.Context, job *Job, tr *trace.Trace, uops []isa.MicroOp,
+func (s *Server) executeSearch(ctx context.Context, job *Job, eng *dse.Engine, tr *trace.Trace,
 	art *setupArtifacts, digest string, setupWall time.Duration, cached bool, par int) (*JobResult, error) {
 	spec := job.Spec
 	opts := dse.SearchOptions{
@@ -629,32 +627,23 @@ func (s *Server) executeSearch(ctx context.Context, job *Job, tr *trace.Trace, u
 	// uses. An uploaded trace has no regeneration recipe, so the graph
 	// oracle re-derives the dependence-graph longest path instead (exact
 	// for graph-engine searches, a model cross-check for rpstacks).
+	var oracle audit.Oracle
 	if spec.Workload != "" {
-		gen, stream, cut, err := measuredRegion(spec)
+		sim, err := s.simOracle(spec)
 		if err != nil {
 			return nil, err
 		}
-		oracle := &audit.SimOracle{
-			Cfg:       s.cfg.BaseConfig,
-			CodeLines: gen.CodeLines(),
-			DataLines: gen.DataLines(),
-			Warm:      stream[:cut],
-			UOps:      stream[cut:],
-		}
-		opts.Verify = func(l stacks.Latencies) (float64, error) {
-			c, _, err := oracle.Truth(ctx, l)
-			return c, err
-		}
+		oracle = sim
 	} else {
-		oracle := &audit.GraphOracle{Graph: art.graph}
-		opts.Verify = func(l stacks.Latencies) (float64, error) {
-			c, _, err := oracle.Truth(ctx, l)
-			return c, err
-		}
+		oracle = &audit.GraphOracle{Graph: art.graph}
+	}
+	opts.Verify = func(l stacks.Latencies) (float64, error) {
+		c, _, err := oracle.Truth(ctx, l)
+		return c, err
 	}
 	if s.fleet != nil && s.fleetEligible && spec.Trace == nil {
 		opts.RoundEval = func(rctx context.Context, pts []stacks.Latencies) ([]float64, error) {
-			rep, err := s.fleetSweep(rctx, job, pts, art, uops, 0, true)
+			rep, err := s.fleetSweep(rctx, job, eng, pts, 0, true)
 			if err != nil {
 				return nil, err
 			}
@@ -665,19 +654,7 @@ func (s *Server) executeSearch(ctx context.Context, job *Job, tr *trace.Trace, u
 			return out, nil
 		}
 	}
-	var res *dse.SearchResult
-	var err error
-	base := s.cfg.BaseConfig.Lat
-	switch spec.Engine {
-	case "rpstacks":
-		res, err = dse.SearchRpStacks(art.analysis, base, &spec.Space, spec.Search, opts)
-	case "graph":
-		res, err = dse.SearchGraph(art.graph, base, &spec.Space, spec.Search, opts)
-	case "sim":
-		res, err = dse.SearchSim(s.cfg.BaseConfig, uops, &spec.Space, spec.Search, opts)
-	default:
-		err = fmt.Errorf("serve: unknown engine %q", spec.Engine)
-	}
+	res, err := dse.Search(eng, s.cfg.BaseConfig.Lat, &spec.Space, spec.Search, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -749,19 +726,9 @@ func searchResults(spec *JobSpec, tr *trace.Trace, digest string, res *dse.Searc
 // metric families point by point.
 func (s *Server) auditSweep(ctx context.Context, job *Job, rep *dse.Report, art *setupArtifacts, digest string, par int) error {
 	spec := job.Spec
-	// The oracle replays the exact ground-truth recipe of the sweep's
-	// baseline trace: regenerate the deterministic µop stream (cheap), warm,
-	// and re-simulate at each audited point.
-	gen, stream, cut, err := measuredRegion(spec)
+	oracle, err := s.simOracle(spec)
 	if err != nil {
 		return err
-	}
-	oracle := &audit.SimOracle{
-		Cfg:       s.cfg.BaseConfig,
-		CodeLines: gen.CodeLines(),
-		DataLines: gen.DataLines(),
-		Warm:      stream[:cut],
-		UOps:      stream[cut:],
 	}
 	var decompose func(*stacks.Latencies) stacks.Stack
 	switch spec.Engine {
@@ -810,6 +777,24 @@ func (s *Server) auditSweep(ctx context.Context, job *Job, rep *dse.Report, art 
 		}
 	}
 	return nil
+}
+
+// simOracle is the ground-truth recipe of a named-workload job, shared by
+// the shadow audit and the online verification of search optima: it replays
+// the exact recipe of the job's baseline trace — regenerate the
+// deterministic µop stream (cheap), warm, and re-simulate at each point.
+func (s *Server) simOracle(spec *JobSpec) (*audit.SimOracle, error) {
+	gen, stream, cut, err := measuredRegion(spec)
+	if err != nil {
+		return nil, err
+	}
+	return &audit.SimOracle{
+		Cfg:       s.cfg.BaseConfig,
+		CodeLines: gen.CodeLines(),
+		DataLines: gen.DataLines(),
+		Warm:      stream[:cut],
+		UOps:      stream[cut:],
+	}, nil
 }
 
 // auditKey is the durable-store key of one job's audit report. Job IDs are

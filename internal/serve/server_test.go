@@ -120,7 +120,7 @@ func referencePoints(t *testing.T) []PointResult {
 		}
 		space.Axes = append(space.Axes, ax)
 	}
-	rep := dse.ExploreRpStacks(a, space.Enumerate(cfg.Lat))
+	rep, _ := dse.Explore(dse.RpStacksEngine(a), space.Enumerate(cfg.Lat), dse.ExploreOptions{})
 
 	// Independent ranking: ascending cycles, point index breaking ties.
 	idx := make([]int, len(rep.Results))
@@ -424,6 +424,43 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 	exp := readAll(t, resp)
 	if v := metricValue(t, exp, "rpstacks_requests_invalid_total"); v != 4 {
 		t.Errorf("invalid requests = %g, want 4", v)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEngineNamesResolve drives every engine name through the service: each
+// name the resolver knows runs to completion and reports itself, and an
+// unknown name is a 400 at submit time, before any setup is paid.
+func TestEngineNamesResolve(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for _, engine := range dse.EngineNames {
+		body := strings.Replace(testBody(""), `"engine":"rpstacks"`, fmt.Sprintf("%q:%q", "engine", engine), 1)
+		body = strings.Replace(body, `"L2D=8,12,16,20","MemD=150,200,280"`, `"L2D=8,12"`, 1)
+		v, code := submitJob(t, ts.URL, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("engine %s: submit status %d, want 202", engine, code)
+		}
+		got := pollJob(t, ts.URL, v.ID)
+		if got.Status != JobDone || got.Result == nil || got.Result.Engine != engine {
+			t.Fatalf("engine %s: job %s (error %q)", engine, got.Status, got.Error)
+		}
+	}
+	for _, engine := range []string{"oracle", "simulator", "Graph"} {
+		body := strings.Replace(testBody(""), `"engine":"rpstacks"`, fmt.Sprintf("%q:%q", "engine", engine), 1)
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown engine") {
+			t.Errorf("engine %q: status %d body %s, want 400 unknown engine", engine, resp.StatusCode, msg)
+		}
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)

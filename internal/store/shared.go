@@ -86,25 +86,7 @@ func (s *Shared) Put(key string, payload []byte) (dup bool, err error) {
 		}
 	}
 
-	tmp, err := os.CreateTemp(filepath.Join(s.dir, tmpSub), "obj-*")
-	if err != nil {
-		return false, fmt.Errorf("store: creating shared temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err = tmp.Write(sum[:]); err == nil {
-		if _, err = tmp.Write(payload); err == nil {
-			err = tmp.Sync()
-		}
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmpName)
-		return false, fmt.Errorf("store: writing shared object: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
+	if err := WriteFileAtomic(filepath.Join(s.dir, tmpSub), "obj-*", path, sum[:], payload); err != nil {
 		return false, fmt.Errorf("store: publishing shared object: %w", err)
 	}
 	s.puts.Add(1)

@@ -246,23 +246,7 @@ func (s *Store) Put(key string, payload []byte, cost time.Duration) error {
 	}
 	s.mu.Unlock()
 
-	tmp, err := os.CreateTemp(filepath.Join(s.dir, tmpSub), "obj-*")
-	if err != nil {
-		return fmt.Errorf("store: creating temp object: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(payload); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: writing object: %w", err)
-	}
-	if err := os.Rename(tmpName, s.objectPath(key)); err != nil {
-		_ = os.Remove(tmpName)
+	if err := WriteFileAtomic(filepath.Join(s.dir, tmpSub), "obj-*", s.objectPath(key), payload); err != nil {
 		return fmt.Errorf("store: publishing object: %w", err)
 	}
 
@@ -353,23 +337,7 @@ func (s *Store) flushLocked() error {
 	sort.Slice(metas, func(i, j int) bool { return metas[i].Key < metas[j].Key })
 	raw := encodeManifest(metas)
 
-	tmp, err := os.CreateTemp(filepath.Join(s.dir, tmpSub), "manifest-*")
-	if err != nil {
-		return fmt.Errorf("store: creating temp manifest: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(raw); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: writing manifest: %w", err)
-	}
-	if err := os.Rename(tmpName, s.manifestPath()); err != nil {
-		_ = os.Remove(tmpName)
+	if err := WriteFileAtomic(filepath.Join(s.dir, tmpSub), "manifest-*", s.manifestPath(), raw); err != nil {
 		return fmt.Errorf("store: publishing manifest: %w", err)
 	}
 	return nil
