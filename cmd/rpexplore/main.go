@@ -375,26 +375,14 @@ func auditOracle(r *experiments.Runner, a *experiments.App, method string, au au
 	case method == "sim":
 		return &audit.SimOracle{Cfg: r.Cfg, UOps: a.UOps}
 	}
-	return &audit.SimOracle{
-		Cfg:       r.Cfg,
-		CodeLines: a.CodeLines,
-		DataLines: a.DataLines,
-		Warm:      a.WarmUOps,
-		UOps:      a.UOps,
-	}
+	return audit.RegionOracle(r.Cfg, &a.Region)
 }
 
 // runAudit shadow-audits the finished sweep against auditOracle and prints
 // its summary.
 func runAudit(rep *dse.Report, r *experiments.Runner, a *experiments.App, method string, au auditFlags, par int) error {
 	oracle := auditOracle(r, a, method, au)
-	var decompose func(*stacks.Latencies) stacks.Stack
-	switch method {
-	case "rpstacks":
-		decompose = audit.RpStacksDecompose(a.Analysis)
-	case "graph":
-		decompose = audit.GraphDecompose(a.Graph)
-	}
+	decompose := audit.Decompose(method, dse.EngineInputs{Analysis: a.Analysis, Graph: a.Graph})
 	arep, err := audit.Run(rep, oracle, decompose, audit.Options{
 		Fraction:    au.fraction,
 		Seed:        au.seed,

@@ -56,27 +56,17 @@ func cmdGen(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("gen: -o is required")
 	}
-	prof, ok := workload.ByName(*app)
-	if !ok {
-		return fmt.Errorf("unknown workload %q", *app)
-	}
+	var r *workload.Region
+	var err error
 	if *warm == 0 {
-		*warm = 3 * *n
+		r, err = workload.Measured(*app, *seed, *n)
+	} else {
+		r, err = workload.MeasuredWarm(*app, *seed, *warm, *n)
 	}
-	gen := workload.NewGenerator(prof, *seed)
-	stream := gen.Take(*warm + *n)
-	cut := *warm
-	for cut < len(stream) && !stream[cut].SoM {
-		cut++
-	}
-	sim, err := cpu.New(config.Baseline())
 	if err != nil {
 		return err
 	}
-	sim.WarmCode(gen.CodeLines())
-	sim.WarmData(gen.DataLines())
-	sim.WarmUp(stream[:cut])
-	tr, err := sim.Run(stream[cut:])
+	tr, err := cpu.RunRegion(config.Baseline(), r, nil, 0)
 	if err != nil {
 		return err
 	}

@@ -15,29 +15,17 @@ import (
 )
 
 func main() {
-	// 1. A deterministic SPEC-like workload and the Table II baseline core.
-	prof, ok := workload.ByName("416.gamess")
-	if !ok {
-		log.Fatal("unknown workload")
-	}
-	gen := workload.NewGenerator(prof, 42)
-	warm := gen.Take(60000) // functional cache/predictor warmup
-	uops := gen.Take(30000)
-	for !uops[0].SoM {
-		warm = append(warm, uops[0])
-		uops = uops[1:]
+	// 1. A deterministic SPEC-like workload — 60k µops of functional
+	//    cache/predictor warmup, then 30k measured, split at a macro-op
+	//    boundary — and the Table II baseline core.
+	region, err := workload.MeasuredWarm("416.gamess", 42, 60000, 30000)
+	if err != nil {
+		log.Fatal(err)
 	}
 	cfg := config.Baseline()
 
 	// 2. One timing simulation produces the dynamic trace.
-	sim, err := cpu.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim.WarmCode(gen.CodeLines())
-	sim.WarmData(gen.DataLines())
-	sim.WarmUp(warm)
-	tr, err := sim.Run(uops)
+	tr, err := cpu.RunRegion(cfg, region, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,14 +60,7 @@ func main() {
 	// 5. Validate the last prediction against a real re-simulation.
 	opt := cfg.Clone()
 	opt.Lat = cfg.Lat.With(stacks.L1D, 2).With(stacks.FpAdd, 3)
-	sim2, err := cpu.New(opt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim2.WarmCode(gen.CodeLines())
-	sim2.WarmData(gen.DataLines())
-	sim2.WarmUp(warm)
-	tr2, err := sim2.Run(uops)
+	tr2, err := cpu.RunRegion(opt, region, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,26 +18,16 @@ import (
 )
 
 func main() {
-	prof, _ := workload.ByName("437.leslie3d")
-	gen := workload.NewGenerator(prof, 42)
-	stream := gen.Take(80000)
-	cut := 60000
-	for !stream[cut].SoM {
-		cut++
+	region, err := workload.Measured("437.leslie3d", 42, 20000)
+	if err != nil {
+		log.Fatal(err)
 	}
 	cfg := config.Baseline()
 
 	runSim := func(l stacks.Latencies) float64 {
 		c := cfg.Clone()
 		c.Lat = l
-		sim, err := cpu.New(c)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sim.WarmCode(gen.CodeLines())
-		sim.WarmData(gen.DataLines())
-		sim.WarmUp(stream[:cut])
-		tr, err := sim.Run(stream[cut:])
+		tr, err := cpu.RunRegion(c, region, nil, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,14 +35,7 @@ func main() {
 	}
 
 	// Baseline trace + the ground truths of three optimization scenarios.
-	sim, err := cpu.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim.WarmCode(gen.CodeLines())
-	sim.WarmData(gen.DataLines())
-	sim.WarmUp(stream[:cut])
-	tr, err := sim.Run(stream[cut:])
+	tr, err := cpu.RunRegion(cfg, region, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

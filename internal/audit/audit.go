@@ -42,6 +42,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/stacks"
+	"repro/internal/workload"
 )
 
 // Class buckets the stall-event taxonomy into the four penalty families the
@@ -131,6 +132,12 @@ type SimOracle struct {
 	UOps                 []isa.MicroOp
 }
 
+// RegionOracle is the warmed SimOracle of a named workload's measured
+// region: its re-simulations replay the region's baseline recipe exactly.
+func RegionOracle(cfg *config.Config, r *workload.Region) *SimOracle {
+	return &SimOracle{Cfg: cfg, CodeLines: r.CodeLines, DataLines: r.DataLines, Warm: r.Warm, UOps: r.UOps}
+}
+
 func (o *SimOracle) Truth(ctx context.Context, l stacks.Latencies) (float64, stacks.Stack, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -139,14 +146,7 @@ func (o *SimOracle) Truth(ctx context.Context, l stacks.Latencies) (float64, sta
 	}
 	cfg := o.Cfg.Clone()
 	cfg.Lat = l
-	sim, err := cpu.New(cfg)
-	if err != nil {
-		return 0, stacks.Stack{}, err
-	}
-	sim.WarmCode(o.CodeLines)
-	sim.WarmData(o.DataLines)
-	sim.WarmUp(o.Warm)
-	tr, err := sim.Run(o.UOps)
+	tr, err := cpu.RunRegion(cfg, &workload.Region{CodeLines: o.CodeLines, DataLines: o.DataLines, Warm: o.Warm, UOps: o.UOps}, nil, 0)
 	if err != nil {
 		return 0, stacks.Stack{}, fmt.Errorf("audit: re-simulating ground truth: %w", err)
 	}
@@ -181,6 +181,20 @@ func (o *GraphOracle) Truth(ctx context.Context, l stacks.Latencies) (float64, s
 // wants: the whole-trace representative stack at the design point.
 func RpStacksDecompose(a *core.Analysis) func(*stacks.Latencies) stacks.Stack {
 	return func(l *stacks.Latencies) stacks.Stack { return a.Representative(l) }
+}
+
+// Decompose resolves an engine's wire/flag name (see dse.NewEngine) to its
+// predicted-stack hook over the engine's inputs: RpStacksDecompose for
+// rpstacks, GraphDecompose for graph, and nil for sim, which predicts no
+// stack.
+func Decompose(engine string, in dse.EngineInputs) func(*stacks.Latencies) stacks.Stack {
+	switch engine {
+	case "rpstacks":
+		return RpStacksDecompose(in.Analysis)
+	case "graph":
+		return GraphDecompose(in.Graph)
+	}
+	return nil
 }
 
 // GraphDecompose adapts a dependence graph into the predicted-stack hook:

@@ -23,6 +23,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stacks"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Stats summarizes one simulation run beyond the trace itself.
@@ -150,6 +151,22 @@ func New(cfg *config.Config) (*Sim, error) {
 	}
 	s.btb = branch.NewBTB(st.BTBEntries)
 	return s, nil
+}
+
+// RunRegion simulates a named workload's measured region under cfg: warm
+// the code and data lines, stream the warmup prefix functionally, then run
+// the measured µops. A non-nil otr records the warmup and simulate spans
+// under parent.
+func RunRegion(cfg *config.Config, r *workload.Region, otr *obs.Tracer, parent uint64) (*trace.Trace, error) {
+	s, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.SetTracer(otr, parent)
+	s.WarmCode(r.CodeLines)
+	s.WarmData(r.DataLines)
+	s.WarmUp(r.Warm)
+	return s.Run(r.UOps)
 }
 
 // SetTracer attaches an observability tracer: the warmup, prepare and

@@ -157,22 +157,46 @@ func decodeChunk(raw []byte) (fp [sha256.Size]byte, entries []chunkEntry, err er
 
 var errCorruptChunk = fmt.Errorf("dse: corrupt checkpoint chunk")
 
-// loadChunks restores every readable chunk in dir into results/done and
-// returns the restored point count. Corrupt chunks are deleted (their
-// points re-evaluated); a healthy chunk carrying a different fingerprint is
-// a hard error, because silently mixing two sweeps' results is the one
-// failure resume must never have. Each restored chunk is recorded as one
-// resume span under parent (Arg = its point count), which is how the
-// progress meter learns how much of the sweep arrived from disk; tr may be
-// nil.
-func loadChunks(dir string, fp [sha256.Size]byte, results []Result, done []bool, tr *obs.Tracer, parent uint64) (int, error) {
+// chunkLog is one kind of chunk directory: sweep checkpoints (chunks keyed
+// by sweep position) or search probe logs (keyed by canonical design-point
+// index). Both share the chunk format above and differ only in file names
+// and the wording of their errors.
+type chunkLog struct {
+	prefix  string // file-name prefix
+	digits  int    // zero-padded width of the first index in the file name
+	kind    string // names the directory in I/O errors
+	foreign string // hard error for a healthy chunk of another sweep; %s is its path
+}
+
+var (
+	sweepChunks = chunkLog{chunkPrefix, 9, "checkpoint",
+		"dse: checkpoint %s belongs to a different sweep (method, inputs or design points changed)"}
+	probeChunks = chunkLog{probePrefix, 12, "probe-log",
+		"dse: probe log %s belongs to a different search (engine inputs, space, spec or baseline changed)"}
+)
+
+// load restores every readable chunk in dir (created if absent) and returns
+// the restored entry count. A chunk is restored only if accept passes every
+// entry; apply then records them. Unreadable or corrupt chunks, and chunks
+// accept rejects — out-of-range indices or ones a restored chunk already
+// holds, structurally impossible for files this sweep wrote — are deleted
+// and their points re-evaluated. A healthy chunk carrying a different
+// fingerprint is a hard error, because silently mixing two sweeps' results
+// is the one failure resume must never have. Each restored chunk is recorded
+// as one resume span under parent (Arg = its entry count), which is how the
+// progress meter learns how much arrived from disk; tr may be nil.
+func (l chunkLog) load(dir string, fp [sha256.Size]byte, accept func(chunkEntry) bool, apply func(chunkEntry),
+	tr *obs.Tracer, parent uint64) (int, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, fmt.Errorf("dse: creating %s dir: %w", l.kind, err)
+	}
 	des, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, fmt.Errorf("dse: reading checkpoint dir: %w", err)
+		return 0, fmt.Errorf("dse: reading %s dir: %w", l.kind, err)
 	}
 	restored := 0
 	for _, de := range des {
-		if !strings.HasPrefix(de.Name(), chunkPrefix) {
+		if !strings.HasPrefix(de.Name(), l.prefix) {
 			continue
 		}
 		path := filepath.Join(dir, de.Name())
@@ -187,27 +211,23 @@ func loadChunks(dir string, fp [sha256.Size]byte, results []Result, done []bool,
 			continue
 		}
 		if gotFP != fp {
-			return 0, fmt.Errorf("dse: checkpoint %s belongs to a different sweep (method, inputs or design points changed)", path)
+			return 0, fmt.Errorf(l.foreign, path)
 		}
 		healthy := true
 		for _, e := range entries {
-			if e.idx < 0 || e.idx >= len(results) || done[e.idx] {
+			if !accept(e) {
 				healthy = false
 				break
 			}
 		}
 		if !healthy {
-			// Indices out of range or overlapping a chunk already loaded:
-			// structurally impossible for files this sweep wrote, so treat
-			// the file as damage and re-evaluate its points.
 			_ = os.Remove(path)
 			continue
 		}
 		for _, e := range entries {
-			done[e.idx] = true
-			results[e.idx].Cycles = e.cycles
-			restored++
+			apply(e)
 		}
+		restored += len(entries)
 		sp := tr.StartChild(parent, obs.CatDSE, obs.NameResume)
 		sp.SetArg(obs.ArgPoints, int64(len(entries)))
 		sp.End()
@@ -215,34 +235,30 @@ func loadChunks(dir string, fp [sha256.Size]byte, results []Result, done []bool,
 	return restored, nil
 }
 
-// saveChunk atomically publishes one completed chunk. The file is named by
-// the chunk's first point index, which is unique across resumes: a point
-// lands in at most one published chunk, and chunks that failed to decode
-// were deleted before their points became pending again.
-func saveChunk(dir string, fp [sha256.Size]byte, idxs []int, results []Result) error {
-	cycles := make([]float64, len(idxs))
-	for k, i := range idxs {
-		cycles[k] = results[i].Cycles
-	}
-	final := filepath.Join(dir, fmt.Sprintf("%s%09d", chunkPrefix, idxs[0]))
+// save atomically publishes one completed chunk, named by its first index:
+// unique across rounds and resumes, because a point lands in at most one
+// published chunk and chunks that failed to load were deleted before their
+// points became pending again.
+func (l chunkLog) save(dir string, fp [sha256.Size]byte, idxs []int, cycles []float64) error {
+	final := filepath.Join(dir, fmt.Sprintf("%s%0*d", l.prefix, l.digits, idxs[0]))
 	if err := store.WriteFileAtomic(dir, "tmp-*", final, encodeChunk(fp, idxs, cycles)); err != nil {
-		return fmt.Errorf("dse: publishing checkpoint chunk: %w", err)
+		return fmt.Errorf("dse: publishing %s chunk: %w", l.kind, err)
 	}
 	return nil
 }
 
-// removeChunks best-effort deletes every chunk file in dir, then the
-// directory itself if that left it empty. Called only after a sweep has
-// completed and its Report is final (Checkpoint.RemoveOnSuccess), so losing
+// remove best-effort deletes every chunk file in dir, then the directory
+// itself if that left it empty. Called only once the sweep or search has
+// completed and its result is final (Checkpoint.RemoveOnSuccess), so losing
 // the files can no longer lose results; errors are ignored because a
 // leftover file merely re-creates the pre-cleanup behavior.
-func removeChunks(dir string) {
+func (l chunkLog) remove(dir string) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, de := range des {
-		if strings.HasPrefix(de.Name(), chunkPrefix) {
+		if strings.HasPrefix(de.Name(), l.prefix) {
 			_ = os.Remove(filepath.Join(dir, de.Name()))
 		}
 	}

@@ -7,7 +7,6 @@ package dse
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/obs"
@@ -279,16 +278,16 @@ func runPoints(e *Engine, rep *Report, points []stacks.Latencies, opts ExploreOp
 	}
 
 	dir := opts.Checkpoint.Dir
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dse: creating checkpoint dir: %w", err)
-	}
 	fp, err := sweepFingerprint(e.method, e.salt, points)
 	if err != nil {
 		return err
 	}
 	rep.Fingerprint = fp[:]
 	done := make([]bool, len(points))
-	restored, err := loadChunks(dir, fp, results, done, opts.Tracer, opts.TraceParent)
+	restored, err := sweepChunks.load(dir, fp,
+		func(e chunkEntry) bool { return e.idx >= 0 && e.idx < len(results) && !done[e.idx] },
+		func(e chunkEntry) { done[e.idx], results[e.idx].Cycles = true, e.cycles },
+		opts.Tracer, opts.TraceParent)
 	if err != nil {
 		return err
 	}
@@ -310,7 +309,12 @@ func runPoints(e *Engine, rep *Report, points []stacks.Latencies, opts ExploreOp
 		if err := evalChunk(worker, pending, lo, hi); err != nil {
 			return err
 		}
-		return saveChunk(dir, fp, pending[lo:hi], results)
+		idxs := pending[lo:hi]
+		cycles := make([]float64, len(idxs))
+		for k, i := range idxs {
+			cycles[k] = results[i].Cycles
+		}
+		return sweepChunks.save(dir, fp, idxs, cycles)
 	})
 	if err != nil {
 		return err
@@ -319,7 +323,7 @@ func runPoints(e *Engine, rep *Report, points []stacks.Latencies, opts ExploreOp
 	if opts.Checkpoint.RemoveOnSuccess {
 		// The Report is complete; the chunk files have nothing left to
 		// protect. Errors above keep them for the next resume.
-		removeChunks(dir)
+		sweepChunks.remove(dir)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"sort"
@@ -384,7 +385,11 @@ func (s *searcher) probeRound(want []uint64) error {
 	}
 	s.res.Probes += len(pending)
 	if s.logDir != "" {
-		if err := saveProbeChunk(s.logDir, s.fp, pending, out); err != nil {
+		idxs := make([]int, len(pending))
+		for k, idx := range pending {
+			idxs[k] = int(idx) // NewSearchPlan bounds indices well under MaxInt
+		}
+		if err := probeChunks.save(s.logDir, [sha256.Size]byte(s.fp), idxs, out); err != nil {
 			return err
 		}
 	}
@@ -652,7 +657,14 @@ func Search(e *Engine, base stacks.Latencies, space *Space, spec *SearchSpec, op
 	}
 	if opts.Checkpoint != nil {
 		s.logDir = opts.Checkpoint.Dir
-		restored, err := loadProbeLog(s.logDir, s.fp, plan.GridPoints(), s.cache, opts.Tracer, s.parent)
+		grid := plan.GridPoints()
+		restored, err := probeChunks.load(s.logDir, [sha256.Size]byte(s.fp),
+			func(e chunkEntry) bool {
+				_, dup := s.cache[uint64(e.idx)]
+				return e.idx >= 0 && uint64(e.idx) < grid && !dup
+			},
+			func(e chunkEntry) { s.cache[uint64(e.idx)] = e.cycles },
+			opts.Tracer, s.parent)
 		if err != nil {
 			return nil, err
 		}
@@ -669,7 +681,7 @@ func Search(e *Engine, base stacks.Latencies, space *Space, spec *SearchSpec, op
 	s.res.Wall = time.Since(start)
 	root.SetArg(obs.ArgPoints, int64(s.res.Probes))
 	if opts.Checkpoint != nil && opts.Checkpoint.RemoveOnSuccess {
-		removeProbeLog(s.logDir)
+		probeChunks.remove(s.logDir)
 	}
 	return s.res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/stacks"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // CraftedOverlap builds the paper's motivating pattern (Figures 1a, 3 and
@@ -165,7 +166,7 @@ func (r *Runner) crafted() (*App, error) {
 		n = 400
 	}
 	// The crafted chains never warm (every miss is intentional).
-	a, err := r.prepare(name, nil, nil, nil, CraftedOverlap(n))
+	a, err := r.prepare(name, &workload.Region{UOps: CraftedOverlap(n)})
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/depgraph"
-	"repro/internal/isa"
 	"repro/internal/stacks"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -30,10 +29,6 @@ type Runner struct {
 	// MicroOps is the trace length per workload; the benchmarks use small
 	// values, the CLI a larger default.
 	MicroOps int
-	// Warmup is the number of leading µops streamed functionally through
-	// caches, TLBs and predictors before the measured region, so that the
-	// trace reflects steady-state behaviour rather than compulsory misses.
-	Warmup int
 	// Seed feeds the deterministic workload generators.
 	Seed int64
 	// Opts are the RpStacks execution parameters.
@@ -52,7 +47,6 @@ func NewRunner(microOps int) *Runner {
 	return &Runner{
 		Cfg:         config.Baseline(),
 		MicroOps:    microOps,
-		Warmup:      3 * microOps,
 		Seed:        42,
 		Opts:        core.DefaultOptions(),
 		Parallelism: runtime.GOMAXPROCS(0),
@@ -61,20 +55,18 @@ func NewRunner(microOps int) *Runner {
 	}
 }
 
-// App is the fully-prepared state of one workload: its µop stream, baseline
-// trace, RpStacks analysis, whole-trace dependence graph and the two
-// baseline analyzers, plus the wall-clock costs of producing them.
+// App is the fully-prepared state of one workload: its measured region
+// (workload.Measured), baseline trace, RpStacks analysis, whole-trace
+// dependence graph and the two baseline analyzers, plus the wall-clock costs
+// of producing them.
 type App struct {
-	Name      string
-	CodeLines []uint64
-	DataLines []uint64
-	WarmUOps  []isa.MicroOp
-	UOps      []isa.MicroOp
-	Trace     *trace.Trace
-	Analysis  *core.Analysis
-	Graph     *depgraph.Graph
-	CP1       *baseline.CP1
-	FMT       *baseline.FMT
+	Name string
+	workload.Region
+	Trace    *trace.Trace
+	Analysis *core.Analysis
+	Graph    *depgraph.Graph
+	CP1      *baseline.CP1
+	FMT      *baseline.FMT
 
 	SimTime     time.Duration
 	AnalyzeTime time.Duration
@@ -85,38 +77,20 @@ func (r *Runner) App(name string) (*App, error) {
 	if a, ok := r.apps[name]; ok {
 		return a, nil
 	}
-	prof, ok := workload.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown workload %q", name)
+	region, err := workload.Measured(name, r.Seed, r.MicroOps)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	gen := workload.NewGenerator(prof, r.Seed)
-	stream := gen.Take(r.Warmup + r.MicroOps)
-	// Snap the warmup/measure split to a macro-op boundary.
-	cut := r.Warmup
-	for cut < len(stream) && !stream[cut].SoM {
-		cut++
-	}
-	return r.prepare(name, gen.CodeLines(), gen.DataLines(), stream[:cut], stream[cut:])
+	return r.prepare(name, region)
 }
 
 // prepare runs the full pipeline — warm, simulate, analyze, graph,
-// baselines — over an explicit µop stream and caches the result under name.
-func (r *Runner) prepare(name string, codeLines, dataLines []uint64, warm, uops []isa.MicroOp) (*App, error) {
-	a := &App{Name: name}
-	a.CodeLines = codeLines
-	a.DataLines = dataLines
-	a.WarmUOps = warm
-	a.UOps = uops
-
+// baselines — over an explicit region and caches the result under name.
+func (r *Runner) prepare(name string, region *workload.Region) (*App, error) {
+	a := &App{Name: name, Region: *region}
 	start := time.Now()
-	sim, err := cpu.New(r.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	sim.WarmCode(codeLines)
-	sim.WarmData(dataLines)
-	sim.WarmUp(warm)
-	if a.Trace, err = sim.Run(a.UOps); err != nil {
+	var err error
+	if a.Trace, err = cpu.RunRegion(r.Cfg, region, nil, 0); err != nil {
 		return nil, fmt.Errorf("experiments: simulating %s: %w", name, err)
 	}
 	a.SimTime = time.Since(start)
@@ -148,14 +122,7 @@ func (r *Runner) Truth(a *App, l *stacks.Latencies) (float64, error) {
 	}
 	cfg := r.Cfg.Clone()
 	cfg.Lat = *l
-	sim, err := cpu.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	sim.WarmCode(a.CodeLines)
-	sim.WarmData(a.DataLines)
-	sim.WarmUp(a.WarmUOps)
-	tr, err := sim.Run(a.UOps)
+	tr, err := cpu.RunRegion(cfg, &a.Region, nil, 0)
 	if err != nil {
 		return 0, fmt.Errorf("experiments: re-simulating %s: %w", a.Name, err)
 	}

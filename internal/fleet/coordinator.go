@@ -400,15 +400,18 @@ func (c *Coordinator) finishLocked(st *sweepState) {
 		}
 	}
 	sp.End()
-	st.sweepSpan.End()
 	c.metrics.assembly.Observe(time.Since(start).Seconds())
 
 	if err != nil {
+		st.sweepSpan.End()
 		st.err = err
 		close(st.done)
 		return
 	}
+	// Collecting the fragments is the sweep's last work inside Report.Wall,
+	// so the sweep span closes after it and the timeline covers the wall.
 	c.collectFragmentsLocked(st)
+	st.sweepSpan.End()
 	method, _ := dse.EngineMethod(sw.Spec.Engine)
 	rep := &dse.Report{
 		Method:      method,

@@ -49,8 +49,8 @@ type SweepSpec struct {
 	Workload string `json:"workload"`
 	// Seed feeds the deterministic workload generator.
 	Seed int64 `json:"seed"`
-	// MicroOps is the measured µop count; warmup is 3x, snapped to a
-	// macro-op boundary, the shared convention of serve and experiments.
+	// MicroOps is the measured µop count of the workload.Measured region
+	// every named-workload rebuild simulates (cpu.RunRegion).
 	MicroOps int `json:"micro_ops"`
 	// Engine is the sweep engine: "rpstacks", "graph" or "sim".
 	Engine string `json:"engine"`

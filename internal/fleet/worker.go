@@ -15,12 +15,17 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/depgraph"
 	"repro/internal/dse"
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/obs/prom"
+	"repro/internal/serve/cache"
 	"repro/internal/stacks"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // WorkerConfig parameterizes NewWorker.
@@ -82,15 +87,26 @@ type Worker struct {
 
 	start    time.Time
 	draining atomic.Bool
-	// sweeps caches rebuilt engines per sweep id; touched only by the Run
-	// goroutine.
-	sweeps map[string]*workerSweep
-	// runners caches workload rebuilds per (seed, µops) recipe, so the
-	// many single-round sweeps of one guided search (each a distinct
-	// fingerprint) re-simulate the workload once, not once per round.
-	// Touched only by the Run goroutine.
-	runners map[string]*experiments.Runner
+	// sweeps memoizes rebuilt, verified engines per sweep id.
+	sweeps *cache.Cache[*workerSweep]
+	// inputs memoizes rebuilt engine inputs per (workload, seed, µops,
+	// engine), so the many single-round sweeps of one guided search (each a
+	// distinct fingerprint) rebuild the workload once, not once per round.
+	inputs *cache.Cache[dse.EngineInputs]
 }
+
+// Memo capacities: a long-lived worker sees every guided-search round as a
+// new sweep, so both memos are LRU-bounded. Every round's sweep looks up its
+// recipe's inputs once, and an LRU of capacity C never evicts a key that
+// fewer than C other keys were used after. So up to sweepMemo recipes (one
+// per workload, seed, µops and engine) may interleave their rounds — from
+// rpserved's concurrent jobs, or several coordinators sharing the worker —
+// and each is still rebuilt once. The inputs memo costs little on top of
+// the sweeps memo: a memoized sweep's engine holds the same inputs.
+const (
+	sweepMemo = 16
+	inputMemo = sweepMemo
+)
 
 // workerSweep is one sweep's rebuilt, fingerprint-verified engine state.
 type workerSweep struct {
@@ -144,8 +160,8 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		reg:         prom.NewRegistry(),
 		onEvaluated: cfg.onEvaluated,
 		start:       time.Now(),
-		sweeps:      make(map[string]*workerSweep),
-		runners:     make(map[string]*experiments.Runner),
+		sweeps:      cache.New[*workerSweep](sweepMemo),
+		inputs:      cache.New[dse.EngineInputs](inputMemo),
 	}
 	if w.tracer == nil {
 		w.collector = &spanCollector{}
@@ -464,12 +480,19 @@ type errSweepGone struct{ id string }
 
 func (e errSweepGone) Error() string { return fmt.Sprintf("fleet: sweep %s gone", shortID(e.id)) }
 
-// getSweep returns the cached engine state of the sweep, rebuilding and
-// fingerprint-verifying it on first sight.
+// getSweep returns the memoized engine state of the sweep, loading it on
+// first sight.
 func (w *Worker) getSweep(ctx context.Context, id string) (*workerSweep, error) {
-	if ws, ok := w.sweeps[id]; ok {
-		return ws, nil
-	}
+	ws, _, err := w.sweeps.GetOrCompute(id, func() (*workerSweep, time.Duration, error) {
+		ws, err := w.loadSweep(ctx, id)
+		return ws, 0, err
+	})
+	return ws, err
+}
+
+// loadSweep fetches the sweep's recipe from the coordinator, then rebuilds
+// and fingerprint-verifies its engine.
+func (w *Worker) loadSweep(ctx context.Context, id string) (*workerSweep, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/fleet/v1/sweep?id="+id, nil)
 	if err != nil {
 		return nil, err
@@ -494,7 +517,6 @@ func (w *Worker) getSweep(ctx context.Context, id string) (*workerSweep, error) 
 	if err != nil {
 		return nil, err
 	}
-	w.sweeps[id] = ws
 	w.logger.Info("fleet: sweep engine ready",
 		slog.String("sweep", shortID(id)),
 		slog.String("engine", info.Spec.Engine),
@@ -503,19 +525,36 @@ func (w *Worker) getSweep(ctx context.Context, id string) (*workerSweep, error) 
 	return ws, nil
 }
 
-// runner returns the cached workload runner for the spec's (seed, µops)
-// recipe, creating it on first use. The runner memoizes rebuilt apps per
-// workload, so consecutive sweeps over the same recipe — notably the
-// round-per-fingerprint stream of a guided search — share one rebuild.
-func (w *Worker) runner(spec SweepSpec) *experiments.Runner {
-	key := fmt.Sprintf("%d|%d", spec.Seed, spec.MicroOps)
-	if r, ok := w.runners[key]; ok {
-		return r
-	}
-	r := experiments.NewRunner(spec.MicroOps)
-	r.Seed = spec.Seed
-	w.runners[key] = r
-	return r
+// engineInputs returns the memoized engine inputs of the spec's recipe,
+// rebuilding on first use through the one named-workload recipe
+// (workload.Measured, cpu.RunRegion) under the baseline machine — and only
+// the artifact the engine reads: the analysis for rpstacks, the graph for
+// graph, the measured µops alone for sim.
+func (w *Worker) engineInputs(spec SweepSpec) (dse.EngineInputs, error) {
+	key := fmt.Sprintf("%s|%d|%d|%s", spec.Workload, spec.Seed, spec.MicroOps, spec.Engine)
+	in, _, err := w.inputs.GetOrCompute(key, func() (dse.EngineInputs, time.Duration, error) {
+		cfg := config.Baseline()
+		r, err := workload.Measured(spec.Workload, spec.Seed, spec.MicroOps)
+		if err != nil {
+			return dse.EngineInputs{}, 0, err
+		}
+		in := dse.EngineInputs{Cfg: cfg, UOps: r.UOps}
+		if spec.Engine == "sim" {
+			return in, 0, nil // re-simulates per point; no baseline trace
+		}
+		tr, err := cpu.RunRegion(cfg, r, nil, 0)
+		if err != nil {
+			return dse.EngineInputs{}, 0, err
+		}
+		switch spec.Engine {
+		case "rpstacks":
+			in.Analysis, err = core.Analyze(tr, &cfg.Structure, &cfg.Lat, core.DefaultOptions())
+		case "graph":
+			in.Graph, err = depgraph.Build(tr, &cfg.Structure, 0, len(tr.Records))
+		}
+		return in, 0, err
+	})
+	return in, err
 }
 
 // buildSweep deterministically rebuilds the sweep's engine inputs from its
@@ -528,8 +567,7 @@ func (w *Worker) buildSweep(info sweepInfo) (*workerSweep, error) {
 	if _, err := dse.EngineMethod(spec.Engine); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	r := w.runner(spec)
-	app, err := r.App(spec.Workload)
+	in, err := w.engineInputs(spec)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: rebuilding sweep %s: %w", shortID(info.ID), err)
 	}
@@ -542,13 +580,13 @@ func (w *Worker) buildSweep(info sweepInfo) (*workerSweep, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: sweep %s axes: %w", shortID(info.ID), err)
 		}
-		points = space.Enumerate(r.Cfg.Lat)
+		points = space.Enumerate(in.Cfg.Lat)
 	}
 	if len(points) != info.Points {
 		return nil, fmt.Errorf("fleet: sweep %s: rebuilt %d points, coordinator has %d",
 			shortID(info.ID), len(points), info.Points)
 	}
-	eng, err := dse.NewEngine(spec.Engine, dse.EngineInputs{Analysis: app.Analysis, Graph: app.Graph, Cfg: r.Cfg, UOps: app.UOps})
+	eng, err := dse.NewEngine(spec.Engine, in)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}

@@ -596,7 +596,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 	// under the remaining job deadline, and never changes the job's
 	// predictions — a drifting audit flips the audit status, not the result.
 	if spec.AuditFraction > 0 {
-		if err := s.auditSweep(ctx, job, rep, art, digest, par); err != nil {
+		if err := s.auditSweep(ctx, job, rep, in, digest, par); err != nil {
 			return nil, err
 		}
 	}
@@ -724,20 +724,13 @@ func searchResults(spec *JobSpec, tr *trace.Trace, digest string, res *dse.Searc
 // report: onto the job (audit status + /debug/audit), into the durable store
 // when one is mounted (so the report survives restarts), and into the audit
 // metric families point by point.
-func (s *Server) auditSweep(ctx context.Context, job *Job, rep *dse.Report, art *setupArtifacts, digest string, par int) error {
+func (s *Server) auditSweep(ctx context.Context, job *Job, rep *dse.Report, in dse.EngineInputs, digest string, par int) error {
 	spec := job.Spec
 	oracle, err := s.simOracle(spec)
 	if err != nil {
 		return err
 	}
-	var decompose func(*stacks.Latencies) stacks.Stack
-	switch spec.Engine {
-	case "rpstacks":
-		decompose = audit.RpStacksDecompose(art.analysis)
-	case "graph":
-		decompose = audit.GraphDecompose(art.graph)
-	}
-	arep, err := audit.Run(rep, oracle, decompose, audit.Options{
+	arep, err := audit.Run(rep, oracle, audit.Decompose(spec.Engine, in), audit.Options{
 		Fraction:    spec.AuditFraction,
 		Seed:        spec.AuditSeed,
 		MaxPoints:   s.cfg.Limits.MaxAuditPoints,
@@ -784,17 +777,11 @@ func (s *Server) auditSweep(ctx context.Context, job *Job, rep *dse.Report, art 
 // the exact recipe of the job's baseline trace — regenerate the
 // deterministic µop stream (cheap), warm, and re-simulate at each point.
 func (s *Server) simOracle(spec *JobSpec) (*audit.SimOracle, error) {
-	gen, stream, cut, err := measuredRegion(spec)
+	r, err := workload.Measured(spec.Workload, spec.Seed, spec.MicroOps)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	return &audit.SimOracle{
-		Cfg:       s.cfg.BaseConfig,
-		CodeLines: gen.CodeLines(),
-		DataLines: gen.DataLines(),
-		Warm:      stream[:cut],
-		UOps:      stream[cut:],
-	}, nil
+	return audit.RegionOracle(s.cfg.BaseConfig, r), nil
 }
 
 // auditKey is the durable-store key of one job's audit report. Job IDs are
@@ -816,48 +803,20 @@ func (s *Server) workloadDiskKey(spec *JobSpec) string {
 	return "w|" + s.cfgPrint + "|" + workloadKey(spec)
 }
 
-// measuredRegion regenerates a named workload's deterministic µop stream
-// and the warmup cut: 3x the measured length of functional warmup, snapped
-// forward to a macro-op boundary. Generation is cheap and bit-reproducible
-// from (profile, seed), which is what lets the durable tier persist only
-// the simulated trace.
-func measuredRegion(spec *JobSpec) (*workload.Generator, []isa.MicroOp, int, error) {
-	prof, ok := workload.ByName(spec.Workload)
-	if !ok {
-		return nil, nil, 0, fmt.Errorf("serve: unknown workload %q", spec.Workload)
-	}
-	gen := workload.NewGenerator(prof, spec.Seed)
-	warm := 3 * spec.MicroOps
-	stream := gen.Take(warm + spec.MicroOps)
-	cut := warm
-	for cut < len(stream) && !stream[cut].SoM {
-		cut++
-	}
-	return gen, stream, cut, nil
-}
-
 // buildWorkload simulates the named workload once: functional warmup, then
 // the traced region. The returned cost is what later cache hits avoid
 // re-paying.
 func (s *Server) buildWorkload(spec *JobSpec, otr *obs.Tracer, parent uint64) (*workloadArtifacts, time.Duration, error) {
 	start := time.Now()
-	gen, stream, cut, err := measuredRegion(spec)
+	r, err := workload.Measured(spec.Workload, spec.Seed, spec.MicroOps)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("serve: %w", err)
 	}
-	sim, err := cpu.New(s.cfg.BaseConfig)
-	if err != nil {
-		return nil, 0, err
-	}
-	sim.SetTracer(otr, parent)
-	sim.WarmCode(gen.CodeLines())
-	sim.WarmData(gen.DataLines())
-	sim.WarmUp(stream[:cut])
-	tr, err := sim.Run(stream[cut:])
+	tr, err := cpu.RunRegion(s.cfg.BaseConfig, r, otr, parent)
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: simulating %s: %w", spec.Workload, err)
 	}
-	wa := &workloadArtifacts{tr: tr, uops: stream[cut:], digest: trace.Digest(tr)}
+	wa := &workloadArtifacts{tr: tr, uops: r.UOps, digest: trace.Digest(tr)}
 	return wa, time.Since(start), nil
 }
 
@@ -880,16 +839,15 @@ func (s *Server) workloadCodec(spec *JobSpec) cache.Codec[*workloadArtifacts] {
 			if err != nil {
 				return nil, err
 			}
-			_, stream, cut, err := measuredRegion(spec)
+			r, err := workload.Measured(spec.Workload, spec.Seed, spec.MicroOps)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("serve: %w", err)
 			}
-			uops := stream[cut:]
-			if len(tr.Records) != len(uops) {
+			if len(tr.Records) != len(r.UOps) {
 				return nil, fmt.Errorf("serve: stored trace has %d records, workload generates %d µops",
-					len(tr.Records), len(uops))
+					len(tr.Records), len(r.UOps))
 			}
-			return &workloadArtifacts{tr: tr, uops: uops, digest: trace.Digest(tr)}, nil
+			return &workloadArtifacts{tr: tr, uops: r.UOps, digest: trace.Digest(tr)}, nil
 		},
 	}
 }

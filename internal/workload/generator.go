@@ -518,3 +518,36 @@ func (g *Generator) CodeLines() []uint64 {
 func Stream(p Profile, seed int64, n int) []isa.MicroOp {
 	return NewGenerator(p, seed).Take(n)
 }
+
+// Region is a named workload's measured region, as every named-workload
+// consumer sees it: the static code and resident data lines to pre-warm,
+// the functional-warmup prefix, and the measured µops.
+type Region struct {
+	CodeLines, DataLines []uint64
+	Warm, UOps           []isa.MicroOp
+}
+
+// Measured regenerates the named workload's measured region: 3x microOps
+// of functional warmup, snapped forward to a macro-op boundary, then
+// microOps measured µops. It is the one recipe of a named-workload
+// baseline (cpu.RunRegion simulates it), so served jobs, fleet workers,
+// experiments, audit oracles and rptrace all land on bit-identical traces.
+// Generation is cheap and bit-reproducible from (name, seed).
+func Measured(name string, seed int64, microOps int) (*Region, error) {
+	return MeasuredWarm(name, seed, 3*microOps, microOps)
+}
+
+// MeasuredWarm is Measured with an explicit warmup length.
+func MeasuredWarm(name string, seed int64, warm, microOps int) (*Region, error) {
+	prof, ok := ByName(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown workload %q", name)
+	}
+	gen := NewGenerator(prof, seed)
+	stream := gen.Take(warm + microOps)
+	cut := warm
+	for cut < len(stream) && !stream[cut].SoM {
+		cut++
+	}
+	return &Region{CodeLines: gen.CodeLines(), DataLines: gen.DataLines(), Warm: stream[:cut], UOps: stream[cut:]}, nil
+}
