@@ -39,12 +39,11 @@
 //
 // The job journal is on by default (bound with -journal-capacity; negative
 // disables it) and persists finished flight records through -store-dir.
-// -slow-job-threshold logs one structured warning — with the journal's
-// per-stage breakdown — for any job slower than the threshold. -slo-rpstacks,
-// -slo-graph and -slo-sim declare per-engine latency objectives exported as
-// the rpstacks_slo_* families (targets, good/total event counters, and
-// multi-window error-budget burn-rate gauges); a window burning faster than
-// the -slo-objective budget allows logs a structured warning.
+// -slo-rpstacks, -slo-graph and -slo-sim declare per-engine latency
+// objectives, exported as the rpstacks_slo_* families (target info and
+// good/events counters, from which PromQL derives burn rates). A job slower
+// than its engine's objective logs one structured warning with the
+// journal's per-stage breakdown.
 //
 // Jobs submitted with "audit_fraction" > 0 are shadow-audited after the
 // sweep: a deterministic sample of design points is re-run through the
@@ -106,18 +105,14 @@ func main() {
 	fleetTTL := flag.Duration("fleet-lease-ttl", 10*time.Second, "fleet lease heartbeat TTL before a chunk is re-leased")
 	fleetChunk := flag.Int("fleet-chunk", 0, "design points per fleet lease (0: ~32 chunks per sweep)")
 	journalCap := flag.Int("journal-capacity", 0, "retained job journal flight records (0: 512; negative: journal off)")
-	slowJob := flag.Duration("slow-job-threshold", 0, "log a structured warning with the per-stage breakdown for jobs slower than this (0: off)")
-	sloRp := flag.Duration("slo-rpstacks", 0, "latency objective for rpstacks-engine jobs (0: no SLO)")
-	sloGraph := flag.Duration("slo-graph", 0, "latency objective for graph-engine jobs (0: no SLO)")
-	sloSim := flag.Duration("slo-sim", 0, "latency objective for sim-engine jobs (0: no SLO)")
-	sloObjective := flag.Float64("slo-objective", 0, "SLO success-ratio objective shared by every target (0: 0.99)")
+	sloRp := flag.Duration("slo-rpstacks", 0, "latency objective for rpstacks-engine jobs; slower jobs log a warning (0: no SLO)")
+	sloGraph := flag.Duration("slo-graph", 0, "latency objective for graph-engine jobs; slower jobs log a warning (0: no SLO)")
+	sloSim := flag.Duration("slo-sim", 0, "latency objective for sim-engine jobs; slower jobs log a warning (0: no SLO)")
 	flag.Parse()
 
 	obs := obsOpts{
-		journalCap:   *journalCap,
-		slowJob:      *slowJob,
-		sloObjective: *sloObjective,
-		sloTargets:   map[string]time.Duration{},
+		journalCap: *journalCap,
+		sloTargets: map[string]time.Duration{},
 	}
 	for engine, d := range map[string]time.Duration{"rpstacks": *sloRp, "graph": *sloGraph, "sim": *sloSim} {
 		if d > 0 {
@@ -133,10 +128,8 @@ func main() {
 
 // obsOpts bundles the journal/SLO observability flags into run.
 type obsOpts struct {
-	journalCap   int
-	slowJob      time.Duration
-	sloObjective float64
-	sloTargets   map[string]time.Duration
+	journalCap int
+	sloTargets map[string]time.Duration
 }
 
 func run(addr string, workers, queue, par, cacheEntries, maxGrid int, timeout, maxTimeout, drain time.Duration, storeDir string, storeMax int64, pprofAddr string, fleetCoord bool, fleetTTL time.Duration, fleetChunk int, obs obsOpts) error {
@@ -206,9 +199,7 @@ func run(addr string, workers, queue, par, cacheEntries, maxGrid int, timeout, m
 		FleetLeaseTTL:    fleetTTL,
 		FleetChunkSize:   fleetChunk,
 		JournalCapacity:  obs.journalCap,
-		SlowJobThreshold: obs.slowJob,
 		SLOTargets:       obs.sloTargets,
-		SLOObjective:     obs.sloObjective,
 	})
 	httpSrv := &http.Server{Addr: addr, Handler: svc}
 

@@ -40,27 +40,37 @@ func toMicros(d time.Duration) float64 { return float64(d) / float64(time.Micros
 func WriteChromeTrace(w io.Writer, recs []Record) error {
 	events := make([]chromeEvent, 0, len(recs))
 	for _, r := range recs {
-		args := map[string]any{"id": r.ID}
-		if r.Parent != 0 {
-			args["parent"] = r.Parent
-		}
-		if r.Detail != "" {
-			args["detail"] = r.Detail
-		}
-		if r.ArgKey != "" {
-			args[r.ArgKey] = r.Arg
-		}
-		events = append(events, chromeEvent{
-			Name: r.Name,
-			Cat:  r.Cat,
-			Ph:   "X",
-			TS:   toMicros(r.Start),
-			Dur:  toMicros(r.Dur),
-			PID:  1,
-			TID:  r.TID,
-			Args: args,
-		})
+		events = append(events, spanEvent(r, 1))
 	}
+	return writeChrome(w, events)
+}
+
+// spanEvent renders one span record as a complete event on process pid.
+func spanEvent(r Record, pid int) chromeEvent {
+	args := map[string]any{"id": r.ID}
+	if r.Parent != 0 {
+		args["parent"] = r.Parent
+	}
+	if r.Detail != "" {
+		args["detail"] = r.Detail
+	}
+	if r.ArgKey != "" {
+		args[r.ArgKey] = r.Arg
+	}
+	return chromeEvent{
+		Name: r.Name,
+		Cat:  r.Cat,
+		Ph:   "X",
+		TS:   toMicros(r.Start),
+		Dur:  toMicros(r.Dur),
+		PID:  pid,
+		TID:  r.TID,
+		Args: args,
+	}
+}
+
+// writeChrome writes events in the trace-event JSON envelope.
+func writeChrome(w io.Writer, events []chromeEvent) error {
 	raw, err := json.MarshalIndent(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"}, "", "  ")
 	if err != nil {
 		return err

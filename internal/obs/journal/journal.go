@@ -35,9 +35,7 @@ type Store interface {
 	Put(key string, payload []byte, cost time.Duration) error
 }
 
-// Storage keys. Job IDs are sequential per process, so a restarted service
-// eventually reuses them and overwrites older records — same convention as
-// the audit reports, acceptable for debugging artifacts.
+// Storage keys.
 const indexKey = "journal|index"
 
 func recordKey(jobID string) string { return "journal|job|" + jobID }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"sort"
 	"time"
@@ -145,33 +144,8 @@ func WriteChromeTimeline(w io.Writer, tl *Timeline) error {
 			Args: map[string]any{"name": trk.Name},
 		})
 		for _, r := range trk.Records {
-			args := map[string]any{"id": r.ID}
-			if r.Parent != 0 {
-				args["parent"] = r.Parent
-			}
-			if r.Detail != "" {
-				args["detail"] = r.Detail
-			}
-			if r.ArgKey != "" {
-				args[r.ArgKey] = r.Arg
-			}
-			events = append(events, chromeEvent{
-				Name: r.Name,
-				Cat:  r.Cat,
-				Ph:   "X",
-				TS:   toMicros(r.Start),
-				Dur:  toMicros(r.Dur),
-				PID:  pid,
-				TID:  r.TID,
-				Args: args,
-			})
+			events = append(events, spanEvent(r, pid))
 		}
 	}
-	raw, err := json.MarshalIndent(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"}, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	_, err = w.Write(raw)
-	return err
+	return writeChrome(w, events)
 }

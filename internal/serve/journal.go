@@ -156,7 +156,15 @@ type debugStatus struct {
 
 	Journal *journal.Stats `json:"journal,omitempty"`
 
-	SLOBurn map[string]float64 `json:"slo_burn_rates,omitempty"`
+	SLO map[string]sloStatus `json:"slo,omitempty"`
+}
+
+// sloStatus is one declared engine's latency objective and its counters.
+// Windowed burn rates come from PromQL over the same counters.
+type sloStatus struct {
+	ThresholdMS int64   `json:"threshold_ms"`
+	Good        float64 `json:"good"`
+	Events      float64 `json:"events"`
 }
 
 type fleetStatus struct {
@@ -205,10 +213,14 @@ func (s *Server) snapshotStatus() debugStatus {
 		js := s.journal.Stats()
 		ds.Journal = &js
 	}
-	if s.metrics.slo != nil {
-		ds.SLOBurn = make(map[string]float64, len(s.cfg.SLOTargets))
-		for engine := range s.cfg.SLOTargets {
-			ds.SLOBurn[engine] = s.metrics.slo.BurnRate(engine, 5*time.Minute)
+	if len(s.cfg.SLOTargets) > 0 {
+		ds.SLO = make(map[string]sloStatus, len(s.cfg.SLOTargets))
+		for engine, thr := range s.cfg.SLOTargets {
+			ds.SLO[engine] = sloStatus{
+				ThresholdMS: thr.Milliseconds(),
+				Good:        s.metrics.sloGood.With(engine).Value(),
+				Events:      s.metrics.sloEvents.With(engine).Value(),
+			}
 		}
 	}
 	return ds
@@ -301,15 +313,16 @@ func writeStatusHTML(w http.ResponseWriter, ds debugStatus) {
 		end()
 	}
 
-	if len(ds.SLOBurn) > 0 {
-		section("SLO burn (5m)")
-		engines := make([]string, 0, len(ds.SLOBurn))
-		for engine := range ds.SLOBurn {
+	if len(ds.SLO) > 0 {
+		section("SLO")
+		engines := make([]string, 0, len(ds.SLO))
+		for engine := range ds.SLO {
 			engines = append(engines, engine)
 		}
 		sort.Strings(engines)
 		for _, engine := range engines {
-			row(engine, fmt.Sprintf("%.2f", ds.SLOBurn[engine]))
+			e := ds.SLO[engine]
+			row(engine, fmt.Sprintf("%.0f of %.0f jobs within %dms", e.Good, e.Events, e.ThresholdMS))
 		}
 		end()
 	}

@@ -392,9 +392,31 @@ func TestJournalSSEClientDisconnect(t *testing.T) {
 	}
 }
 
+// getBody fetches url and returns its status code and body.
+func getBody(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, readAll(t, resp)
+}
+
+// compactJSON strips insignificant whitespace from a JSON document.
+func compactJSON(t *testing.T, doc string) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.Compact(&b, []byte(doc)); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, doc)
+	}
+	return b.String()
+}
+
 // TestJournalSurvivesServerRestart: a second service lifetime over the same
 // store directory serves the first lifetime's flight record and replays its
-// event log, without ever having seen the job.
+// event log, without ever having seen the job — and a job submitted after
+// the restart gets a fresh ID, leaving the first job's record and audit
+// report in place.
 func TestJournalSurvivesServerRestart(t *testing.T) {
 	dir := t.TempDir()
 	st1, err := store.Open(dir, store.Options{})
@@ -403,12 +425,18 @@ func TestJournalSurvivesServerRestart(t *testing.T) {
 	}
 	s1 := New(Config{Workers: 2, SweepParallelism: 2, Store: st1, JournalProgressInterval: -1})
 	ts1 := httptest.NewServer(s1)
-	v, code := submitJob(t, ts1.URL, testBody(""))
+	v, code := submitJob(t, ts1.URL, testBody(`,"audit_fraction":1,"audit_seed":11,"audit_drift_pct":100`))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
-	pollJob(t, ts1.URL, v.ID)
+	if done := pollJob(t, ts1.URL, v.ID); done.Status != JobDone || done.AuditStatus != "ok" {
+		t.Fatalf("first job status %s audit %q (error %q), want done/ok", done.Status, done.AuditStatus, done.Error)
+	}
 	first := getRecord(t, ts1.URL, v.ID)
+	code, firstAudit := getBody(t, ts1.URL+"/debug/audit?job="+v.ID)
+	if code != http.StatusOK {
+		t.Fatalf("first lifetime /debug/audit status %d", code)
+	}
 	if err := s1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -420,6 +448,7 @@ func TestJournalSurvivesServerRestart(t *testing.T) {
 	}
 	s2 := New(Config{Workers: 2, SweepParallelism: 2, Store: st2})
 	ts2 := httptest.NewServer(s2)
+	defer func() { _ = s2.Shutdown(context.Background()) }()
 	defer ts2.Close()
 
 	second := getRecord(t, ts2.URL, v.ID)
@@ -442,6 +471,31 @@ func TestJournalSurvivesServerRestart(t *testing.T) {
 	resume := streamSSE(t, ts2.URL, v.ID, strconv.FormatUint(frames[0].id, 10))
 	if len(resume) != len(frames)-1 {
 		t.Errorf("persisted resume replayed %d frames, want %d", len(resume), len(frames)-1)
+	}
+
+	// A job submitted after the restart must not take over the first job's
+	// identity or its durable records.
+	graph := strings.Replace(testBody(""), `"engine":"rpstacks"`, `"engine":"graph"`, 1)
+	v2, code := submitJob(t, ts2.URL, graph)
+	if code != http.StatusAccepted {
+		t.Fatalf("post-restart submit status %d", code)
+	}
+	if v2.ID == v.ID {
+		t.Errorf("post-restart job reused ID %s", v.ID)
+	}
+	pollJob(t, ts2.URL, v2.ID)
+	if rec := getRecord(t, ts2.URL, v2.ID); rec.Engine != "graph" {
+		t.Errorf("post-restart record engine %q, want graph", rec.Engine)
+	}
+	if rec := getRecord(t, ts2.URL, v.ID); rec.Engine != "rpstacks" || rec.TraceDigest != first.TraceDigest {
+		t.Errorf("first job's record after a new submission: engine %q digest %s, want rpstacks %s",
+			rec.Engine, rec.TraceDigest, first.TraceDigest)
+	}
+	// The live report serves indented, the persisted one as stored: compare
+	// them compacted.
+	code, lastAudit := getBody(t, ts2.URL+"/debug/audit?job="+v.ID)
+	if code != http.StatusOK || compactJSON(t, lastAudit) != compactJSON(t, firstAudit) {
+		t.Errorf("first job's audit report after a new submission: status %d\n%s\nwant 200\n%s", code, lastAudit, firstAudit)
 	}
 }
 
@@ -514,8 +568,9 @@ func (s *syncBuf) String() string {
 	return s.b.String()
 }
 
-// TestSlowJobWarning: on an injected clock every job takes "too long", and
-// the one structured warning carries the journal's per-stage breakdown.
+// TestSlowJobWarning: on an injected clock every job takes longer than its
+// engine's objective, and the one structured warning carries the journal's
+// per-stage breakdown and that objective as its threshold.
 func TestSlowJobWarning(t *testing.T) {
 	var (
 		mu  sync.Mutex
@@ -531,7 +586,7 @@ func TestSlowJobWarning(t *testing.T) {
 	s := New(Config{
 		Workers:          2,
 		SweepParallelism: 2,
-		SlowJobThreshold: time.Millisecond,
+		SLOTargets:       map[string]time.Duration{"rpstacks": time.Millisecond},
 		Clock:            clock,
 		Logger:           slog.New(slog.NewTextHandler(&logs, nil)),
 	})
@@ -565,6 +620,9 @@ func TestSlowJobWarning(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("slow-job warning missing %q:\n%s", want, out)
 		}
+	}
+	if n := strings.Count(out, "level=WARN"); n != 1 {
+		t.Errorf("%d warnings logged for one slow job, want exactly 1:\n%s", n, out)
 	}
 }
 
@@ -635,12 +693,13 @@ func TestDebugStatus(t *testing.T) {
 	if n, _ := jn["Persisted"].(float64); n < 1 {
 		t.Errorf("journal persisted = %v, want >= 1", jn["Persisted"])
 	}
-	burns, ok := ds["slo_burn_rates"].(map[string]any)
+	slo, ok := ds["slo"].(map[string]any)
 	if !ok {
-		t.Fatalf("status has no slo_burn_rates: %v", ds)
+		t.Fatalf("status has no slo entry: %v", ds)
 	}
-	if _, ok := burns["rpstacks"]; !ok {
-		t.Errorf("slo_burn_rates missing rpstacks: %v", burns)
+	rp, _ := slo["rpstacks"].(map[string]any)
+	if rp["threshold_ms"] != float64(time.Hour.Milliseconds()) || rp["good"] != 1.0 || rp["events"] != 1.0 {
+		t.Errorf("slo.rpstacks = %v, want threshold_ms 3600000, good 1, events 1", slo["rpstacks"])
 	}
 
 	resp, err := http.Get(ts.URL + "/debug/status?format=html")
@@ -651,7 +710,7 @@ func TestDebugStatus(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
 		t.Errorf("html format content type %q", ct)
 	}
-	for _, want := range []string{"<h1>rpserved: ok</h1>", "Journal", "SLO burn"} {
+	for _, want := range []string{"<h1>rpserved: ok</h1>", "Journal", "<h2>SLO</h2>", "1 of 1 jobs within 3600000ms"} {
 		if !strings.Contains(html, want) {
 			t.Errorf("html status missing %q:\n%s", want, html)
 		}
@@ -672,7 +731,6 @@ func TestSLOAndUptimeExposition(t *testing.T) {
 		Workers:          2,
 		SweepParallelism: 2,
 		SLOTargets:       map[string]time.Duration{"rpstacks": time.Hour, "graph": 500 * time.Millisecond},
-		SLOObjective:     0.9,
 	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -712,9 +770,8 @@ func TestSLOAndUptimeExposition(t *testing.T) {
 		t.Errorf("graph events = %g, want 0", got)
 	}
 	for _, want := range []string{
-		`rpstacks_slo_target_info{class="graph",threshold_ms="500",objective="0.9"} 1`,
-		`rpstacks_slo_burn_rate{class="rpstacks",window="5m"} 0`,
-		`rpstacks_slo_burn_rate{class="rpstacks",window="1h"} 0`,
+		`rpstacks_slo_target_info{class="graph",threshold_ms="500"} 1`,
+		`rpstacks_slo_target_info{class="rpstacks",threshold_ms="3600000"} 1`,
 	} {
 		if !strings.Contains(exp, want) {
 			t.Errorf("exposition missing %q", want)

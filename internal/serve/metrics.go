@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
+	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/audit"
@@ -76,9 +78,10 @@ type metrics struct {
 	searchRounds   *prom.CounterVec
 	searchFrontier *prom.Histogram
 
-	// slo is the latency-objective layer; nil unless Config.SLOTargets set
-	// any. New wires it after newMetrics because it needs the server clock.
-	slo *prom.SLO
+	// sloGood and sloEvents count finished jobs against their engine's
+	// latency objective; nil unless Config.SLOTargets declares any.
+	sloGood   *prom.CounterVec
+	sloEvents *prom.CounterVec
 }
 
 func newMetrics() *metrics {
@@ -189,6 +192,37 @@ func (m *metrics) observeSearch(res *dse.SearchResult) {
 	m.searchRounds.With(res.Mode).Add(float64(res.Rounds))
 	if res.Mode == dse.SearchPareto {
 		m.searchFrontier.Observe(float64(len(res.Frontier)))
+	}
+}
+
+// declareSLOs registers the latency-objective families and pre-creates one
+// row per declared engine, in name order, so the exposition is complete
+// from the first scrape. Windowed burn rates are left to PromQL over the
+// good/events counters.
+func (m *metrics) declareSLOs(targets map[string]time.Duration) {
+	m.sloGood = m.reg.CounterVec("rpstacks_slo_good_total",
+		"SLO events that succeeded within the class's latency threshold.", "class")
+	m.sloEvents = m.reg.CounterVec("rpstacks_slo_events_total",
+		"All SLO events, good or not.", "class")
+	info := m.reg.GaugeVec("rpstacks_slo_target_info",
+		"Configured latency objectives; the value is always 1.", "class", "threshold_ms")
+	engines := make([]string, 0, len(targets))
+	for engine := range targets {
+		engines = append(engines, engine)
+	}
+	sort.Strings(engines)
+	for _, engine := range engines {
+		m.sloGood.With(engine)
+		m.sloEvents.With(engine)
+		info.With(engine, strconv.FormatInt(targets[engine].Milliseconds(), 10)).Set(1)
+	}
+}
+
+// observeSLO counts one finished job of a declared engine.
+func (m *metrics) observeSLO(engine string, good bool) {
+	m.sloEvents.With(engine).Inc()
+	if good {
+		m.sloGood.With(engine).Inc()
 	}
 }
 

@@ -45,7 +45,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/obs/journal"
-	"repro/internal/obs/prom"
 	"repro/internal/serve/cache"
 	"repro/internal/stacks"
 	"repro/internal/store"
@@ -108,19 +107,15 @@ type Config struct {
 	// (zero: 500ms; negative: one event per chunk — tests want every
 	// observation).
 	JournalProgressInterval time.Duration
-	// SlowJobThreshold, when positive, logs one structured warning with the
-	// per-stage breakdown for any job whose wall-clock exceeds it.
-	SlowJobThreshold time.Duration
-	// SLOTargets maps engine name to its latency objective; a finished job
-	// is a good SLO event when it succeeded within its engine's threshold.
-	// Empty disables the SLO layer.
+	// SLOTargets maps engine name to its latency objective, the service's
+	// one slow-job threshold: a finished job is a good SLO event when it
+	// succeeded within its engine's objective, and a job over it logs one
+	// structured warning with the per-stage breakdown. Engines without a
+	// target are neither counted nor warned about.
 	SLOTargets map[string]time.Duration
-	// SLOObjective is the success-ratio objective shared by every target
-	// (zero: 0.99).
-	SLOObjective float64
 	// Clock is the server's wall clock, injectable for tests (nil:
-	// time.Now). It drives job timestamps, the journal, slow-job detection
-	// and the SLO windows; span durations keep the tracer's own clock.
+	// time.Now). It drives job timestamps, the journal, job IDs and the
+	// SLO latencies; span durations keep the tracer's own clock.
 	Clock func() time.Time
 }
 
@@ -160,8 +155,12 @@ type Server struct {
 	now   func() time.Time
 	start time.Time
 
-	queue    chan *Job
-	wg       sync.WaitGroup
+	queue chan *Job
+	wg    sync.WaitGroup
+	// idEpoch and seq make job IDs: the epoch is this process's start time
+	// as fixed-width hex, so IDs stay unique across restarts over one store
+	// and sort by issue order.
+	idEpoch  string
 	seq      atomic.Uint64
 	draining atomic.Bool
 	// submitMu serializes submissions against queue closure: Shutdown takes
@@ -260,6 +259,7 @@ func New(cfg Config) *Server {
 		jobs:      make(map[string]*Job),
 		fleetJobs: make(map[string]string),
 		now:       cfg.Clock,
+		idEpoch:   fmt.Sprintf("%016x", uint64(cfg.Clock().UnixNano())),
 		start:     time.Now(),
 	}
 	s.jobCtx, s.jobCancel = context.WithCancel(context.Background())
@@ -282,25 +282,7 @@ func New(cfg Config) *Server {
 		})
 	}
 	if len(cfg.SLOTargets) > 0 {
-		s.metrics.slo = prom.NewSLO(s.metrics.reg, prom.SLOOptions{
-			Prefix:    "rpstacks_slo",
-			Objective: cfg.SLOObjective,
-			Now:       s.now,
-			OnBurn: func(class string, window time.Duration, rate float64) {
-				s.logger.Warn("slo burn: error budget burning faster than the objective allows",
-					slog.String("engine", class),
-					slog.Duration("window", window),
-					slog.Float64("burn_rate", rate))
-			},
-		})
-		engines := make([]string, 0, len(cfg.SLOTargets))
-		for engine := range cfg.SLOTargets {
-			engines = append(engines, engine)
-		}
-		sort.Strings(engines)
-		for _, engine := range engines {
-			s.metrics.slo.SetTarget(engine, cfg.SLOTargets[engine])
-		}
+		s.metrics.declareSLOs(cfg.SLOTargets)
 	}
 
 	cfgJSON, _ := json.Marshal(cfg.BaseConfig)
@@ -414,11 +396,11 @@ func (s *Server) runJob(job *Job) {
 	s.metrics.jobFinished(st)
 	elapsed := s.now().Sub(start)
 	s.journal.JobFinished(job.ID, finishRecord(job, st, res, err))
-	if s.metrics.slo != nil {
-		s.metrics.slo.Observe(job.Spec.Engine, elapsed, st == JobDone)
-	}
-	if thr := s.cfg.SlowJobThreshold; thr > 0 && elapsed > thr {
-		s.slowJobWarn(job, st, elapsed)
+	if thr, ok := s.cfg.SLOTargets[job.Spec.Engine]; ok {
+		s.metrics.observeSLO(job.Spec.Engine, st == JobDone && elapsed <= thr)
+		if elapsed > thr {
+			s.slowJobWarn(job, st, elapsed, thr)
+		}
 	}
 	s.retire(job)
 
@@ -469,16 +451,17 @@ func finishRecord(job *Job, st JobStatus, res *JobResult, err error) journal.Fin
 	return fin
 }
 
-// slowJobWarn logs the one structured slow-job warning, with the stage
-// breakdown the journal accumulated. Called after JobFinished so the sweep
-// timing has landed on the record.
-func (s *Server) slowJobWarn(job *Job, st JobStatus, elapsed time.Duration) {
+// slowJobWarn logs the one structured slow-job warning for a job over its
+// engine's latency objective, with the stage breakdown the journal
+// accumulated. Called after JobFinished so the sweep timing has landed on
+// the record.
+func (s *Server) slowJobWarn(job *Job, st JobStatus, elapsed, threshold time.Duration) {
 	attrs := []any{
 		slog.String("job_id", job.ID),
 		slog.String("status", string(st)),
 		slog.String("engine", job.Spec.Engine),
 		slog.Duration("elapsed", elapsed),
-		slog.Duration("threshold", s.cfg.SlowJobThreshold),
+		slog.Duration("threshold", threshold),
 	}
 	if rec, ok := s.journal.Get(job.ID); ok {
 		attrs = append(attrs,
@@ -784,9 +767,7 @@ func (s *Server) simOracle(spec *JobSpec) (*audit.SimOracle, error) {
 	return audit.RegionOracle(s.cfg.BaseConfig, r), nil
 }
 
-// auditKey is the durable-store key of one job's audit report. Job IDs are
-// sequential per process, so a restarted service eventually reuses them and
-// overwrites the older report — acceptable for a debugging artifact.
+// auditKey is the durable-store key of one job's audit report.
 func auditKey(jobID string) string { return "audit|" + jobID }
 
 // workloadKey identifies one named-workload simulation; the analysis layer
@@ -1015,7 +996,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job := &Job{
-		ID:        fmt.Sprintf("job-%06d", s.seq.Add(1)),
+		ID:        fmt.Sprintf("job-%s-%06d", s.idEpoch, s.seq.Add(1)),
 		Spec:      spec,
 		Submitted: s.now(),
 		status:    JobQueued,
