@@ -395,12 +395,15 @@ func (s *Server) runJob(job *Job) {
 	job.root.End()
 	s.metrics.jobFinished(st)
 	elapsed := s.now().Sub(start)
-	s.journal.JobFinished(job.ID, finishRecord(job, st, res, err))
-	if thr, ok := s.cfg.SLOTargets[job.Spec.Engine]; ok {
+	// Count the objective before the record is persisted, so a reader that
+	// sees the persisted record also sees the job in the SLO counters.
+	thr, hasSLO := s.cfg.SLOTargets[job.Spec.Engine]
+	if hasSLO {
 		s.metrics.observeSLO(job.Spec.Engine, st == JobDone && elapsed <= thr)
-		if elapsed > thr {
-			s.slowJobWarn(job, st, elapsed, thr)
-		}
+	}
+	s.journal.JobFinished(job.ID, finishRecord(job, st, res, err))
+	if hasSLO && elapsed > thr {
+		s.slowJobWarn(job, st, elapsed, thr)
 	}
 	s.retire(job)
 

@@ -10,8 +10,8 @@ import "os"
 // filesystem for the rename to be atomic. On any error the temporary file
 // is removed and path is left untouched.
 //
-// It is the one publish primitive behind the store's objects and manifest,
-// the fleet's shared root, and the sweep checkpoint and probe-log chunks.
+// It is the one publish primitive behind the objects of Store and of the
+// fleet's Shared root, and the sweep checkpoint and probe-log chunks.
 func WriteFileAtomic(tmpDir, pattern, path string, parts ...[]byte) error {
 	tmp, err := os.CreateTemp(tmpDir, pattern)
 	if err != nil {

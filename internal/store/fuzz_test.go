@@ -2,55 +2,42 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 	"time"
 )
 
-// FuzzStoreManifest drives the manifest decoder with arbitrary bytes. The
+// FuzzStoreObject drives the object decoder with arbitrary bytes. The
 // decoder guards the store's trust boundary with the filesystem: a torn
-// write, bit rot or a hostile edit must come back as an error — never a
-// panic, never an entry set that does not round-trip, and never an
-// allocation proportional to a length field the checksum has not vouched
-// for.
-func FuzzStoreManifest(f *testing.F) {
-	// A healthy two-entry manifest.
-	var sum [32]byte
-	for i := range sum {
-		sum[i] = byte(i)
-	}
-	f.Add(encodeManifest([]entryMeta{
-		{Key: "sha256digest|fp", Sum: sum, Size: 4096, Cost: 3 * time.Second, LastUse: 9},
-		{Key: "w/416.gamess|seed=42", Sum: sum, Size: 1, Cost: time.Millisecond, LastUse: 2},
-	}))
-	f.Add(encodeManifest(nil)) // empty store
-	f.Add([]byte("RPSTOR"))    // header only, no checksum
-	f.Add([]byte("XXSTOR\x01\x00"))
-	// Huge declared entry count with no data behind it.
-	f.Add(append([]byte("RPSTOR\x01"), 0xff, 0xff, 0xff, 0xff, 0x7f))
-	// Valid magic+version, one entry with an oversized key length.
-	f.Add(append([]byte("RPSTOR\x01\x01"), 0xff, 0xff, 0x7f))
+// write, bit rot, a legacy file or a hostile edit must come back as an
+// error — never a panic, never an accepted object that does not round-trip,
+// and never a payload copied into an allocation sized by a length the
+// checksum has not vouched for.
+func FuzzStoreObject(f *testing.F) {
+	payload := []byte("RPAN analysis bytes")
+	h := newHeader(3*time.Second, payload)
+	valid := append(h[:], payload...)
+	f.Add(valid)
+	f.Add(valid[:headerLen-1]) // truncated header
+	f.Add(payload)             // a legacy Store object: the raw payload
+	sum := sha256.Sum256(payload)
+	f.Add(append(sum[:], payload...)) // a legacy Shared object: sha256‖payload
+	f.Add([]byte{})                   // an empty file
+	future := bytes.Clone(valid)
+	future[6]++ // an unknown format version over a valid checksum
+	f.Add(future)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		entries, err := decodeManifest(raw)
+		got, cost, err := decodeObject(raw)
 		if err != nil {
 			return // rejected input: the only other acceptable outcome
 		}
-		// Accepted input must round-trip through the canonical encoding.
-		re := encodeManifest(entries)
-		back, err := decodeManifest(re)
-		if err != nil {
-			t.Fatalf("canonical re-encoding failed to decode: %v", err)
+		if len(got) > 0 && &got[0] != &raw[headerLen] {
+			t.Fatal("decoder copied the payload instead of aliasing the input")
 		}
-		if len(back) != len(entries) {
-			t.Fatalf("round trip changed entry count: %d != %d", len(back), len(entries))
-		}
-		for i := range entries {
-			if back[i] != entries[i] {
-				t.Fatalf("entry %d changed across round trip", i)
-			}
-		}
-		if !bytes.Equal(encodeManifest(back), re) {
-			t.Fatal("encoding is not canonical")
+		h := newHeader(cost, got)
+		if !bytes.Equal(append(h[:], got...), raw) {
+			t.Fatal("accepted object does not round-trip through its encoding")
 		}
 	})
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"os"
 	"path/filepath"
@@ -179,9 +180,9 @@ func TestSharedKeyValidation(t *testing.T) {
 	}
 }
 
-// TestSharedObjectLayout pins the on-disk format: 32-byte payload digest
-// header, then the payload, at objects/hex(sha256(key)) — the addressing
-// Store uses, so the two layouts stay mutually intelligible.
+// TestSharedObjectLayout pins the on-disk format: the shared object codec's
+// header with a zero build cost, then the payload, at
+// objects/hex(sha256(key)) — the layout and addressing Store uses.
 func TestSharedObjectLayout(t *testing.T) {
 	s := openShared(t, t.TempDir())
 	payload := []byte("layout check")
@@ -194,8 +195,13 @@ func TestSharedObjectLayout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("object not at the addressed path: %v", err)
 	}
-	paySum := sha256.Sum256(payload)
-	if !bytes.Equal(raw[:sha256.Size], paySum[:]) || !bytes.Equal(raw[sha256.Size:], payload) {
-		t.Fatal("object layout is not digest||payload")
+	if len(raw) != headerLen+len(payload) || string(raw[:6]) != "RPSOBJ" ||
+		binary.LittleEndian.Uint16(raw[6:8]) != 1 || binary.LittleEndian.Uint64(raw[8:16]) != 0 {
+		t.Fatalf("object header is not magic, version 1, zero cost: % x", raw[:min(len(raw), 16)])
+	}
+	cost := make([]byte, 8)
+	sum := sha256.Sum256(append(cost, payload...))
+	if !bytes.Equal(raw[16:headerLen], sum[:]) || !bytes.Equal(raw[headerLen:], payload) {
+		t.Fatal("object is not sha256(cost‖payload) then the payload")
 	}
 }

@@ -6,15 +6,16 @@
 // immediately serves cache hits for every trace it has ever analyzed.
 //
 // Guarantees:
-//   - publication is atomic: payloads are written to a temporary file,
-//     synced, and renamed into place, then the manifest is rewritten the
-//     same way — a crash at any instant leaves either the old or the new
-//     state, never a torn entry;
-//   - corruption is detected, never served: every payload carries a SHA-256
+//   - publication is atomic: each entry is one object file (object.go),
+//     written to a temporary file, synced, and renamed into place — a crash
+//     at any instant leaves either the old or the new object, never a torn
+//     entry, and there is no index to keep in step with the objects;
+//   - corruption is detected, never served: every object carries a SHA-256
 //     checksum verified on read, and a mismatching or unreadable entry is
 //     dropped and reported as a miss so the caller rebuilds it;
 //   - capacity is bounded: beyond MaxBytes the least-recently-used entries
-//     are evicted (files deleted, manifest rewritten);
+//     are evicted. Recency survives a restart as file mtime, which a hit
+//     refreshes;
 //   - the store is safe for concurrent use by one process. Cross-process
 //     sharing of one directory is not supported.
 //
@@ -23,10 +24,9 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -44,8 +44,7 @@ type Options struct {
 	// least-recently-used entries are evicted. Non-positive means unbounded.
 	MaxBytes int64
 	// Logger receives structured warnings for the events an operator should
-	// see — corrupt entries dropped, manifest damage, evictions. Nil
-	// discards.
+	// see — corrupt entries dropped, evictions. Nil discards.
 	Logger *slog.Logger
 	// Tracer, when non-nil, records store activity as spans: read and
 	// verify per Get, evict per garbage-collected entry. Nil records
@@ -61,7 +60,7 @@ type Store struct {
 	tracer   *obs.Tracer
 
 	mu      sync.Mutex
-	entries map[string]*entryMeta
+	entries map[string]*entry // keyed by object file name
 	bytes   int64
 	tick    uint64
 
@@ -69,67 +68,54 @@ type Store struct {
 	savedNS                              atomic.Int64
 }
 
-// Open loads (or initializes) the store rooted at dir. An existing manifest
-// is read and verified: if it is missing, truncated or corrupt the store
-// starts empty, and entries whose object files have vanished or changed
-// size are dropped. Orphaned object files (present on disk, absent from the
-// index) are removed, so a crash between payload publication and manifest
-// rewrite cannot leak disk space.
+// entry is the in-memory record of one object file.
+type entry struct {
+	size    int64  // payload bytes
+	lastUse uint64 // recency tick for LRU eviction
+	// hdr is the header this process published for the entry, so a
+	// duplicate Put is decided without touching the disk. It is zero for
+	// an entry found at Open; Put then reads the header from the file.
+	// Never changed once the entry is indexed, so it is read unlocked.
+	hdr header
+}
+
+// Open loads (or initializes) the store rooted at dir. It lists objects/
+// and indexes every object file by name, its payload size and its mtime as
+// recency, reading no object bytes: a truncated or rotted object is caught
+// by the checksum when it is first read. Stale temporaries from a crashed
+// publication are removed.
 func Open(dir string, opts Options) (*Store, error) {
-	for _, sub := range []string{objectsSub, tmpSub} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("store: creating %s: %w", sub, err)
-		}
+	if err := openRoot(dir); err != nil {
+		return nil, err
+	}
+	des, err := os.ReadDir(filepath.Join(dir, objectsSub))
+	if err != nil {
+		return nil, fmt.Errorf("store: listing objects: %w", err)
 	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	s := &Store{dir: dir, maxBytes: opts.MaxBytes, logger: logger, tracer: opts.Tracer,
-		entries: make(map[string]*entryMeta)}
+		entries: make(map[string]*entry, len(des))}
 
-	if raw, err := os.ReadFile(s.manifestPath()); err == nil {
-		metas, derr := decodeManifest(raw)
-		if derr != nil {
-			// A torn or rotted manifest degrades to an empty index; the
-			// objects it described are swept as orphans below.
-			s.corruptions.Add(1)
-			s.logger.Warn("store: manifest corrupt, starting with an empty index",
-				slog.String("dir", dir), slog.String("error", derr.Error()))
-		} else {
-			for i := range metas {
-				e := metas[i]
-				fi, serr := os.Stat(s.objectPath(e.Key))
-				if serr != nil || fi.Size() != e.Size {
-					// The object vanished or was truncated behind our back;
-					// drop the entry rather than fail reads later.
-					if serr == nil {
-						s.corruptions.Add(1)
-						s.logger.Warn("store: dropping entry with truncated object",
-							slog.String("key", e.Key),
-							slog.Int64("manifest_size", e.Size),
-							slog.Int64("object_size", fi.Size()))
-					}
-					continue
-				}
-				if e.LastUse > s.tick {
-					s.tick = e.LastUse
-				}
-				ec := e
-				s.entries[e.Key] = &ec
-				s.bytes += e.Size
-			}
+	infos := make([]fs.FileInfo, 0, len(des))
+	for _, de := range des {
+		if fi, err := de.Info(); err == nil && fi.Mode().IsRegular() {
+			infos = append(infos, fi) // else vanished since the listing
 		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: reading manifest: %w", err)
 	}
-
-	s.sweepOrphans()
-	// Stale temporaries from a crashed publication are plain garbage.
-	if tmps, err := os.ReadDir(filepath.Join(dir, tmpSub)); err == nil {
-		for _, de := range tmps {
-			_ = os.Remove(filepath.Join(dir, tmpSub, de.Name()))
+	sort.Slice(infos, func(i, j int) bool {
+		if mi, mj := infos[i].ModTime(), infos[j].ModTime(); !mi.Equal(mj) {
+			return mi.Before(mj)
 		}
+		return infos[i].Name() < infos[j].Name()
+	})
+	for _, fi := range infos {
+		s.tick++
+		size := max(fi.Size()-headerLen, 0)
+		s.entries[fi.Name()] = &entry{size: size, lastUse: s.tick}
+		s.bytes += size
 	}
 	s.mu.Lock()
 	s.gcLocked()
@@ -137,59 +123,28 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-const (
-	objectsSub   = "objects"
-	tmpSub       = "tmp"
-	manifestName = "MANIFEST"
-)
-
-func (s *Store) manifestPath() string { return filepath.Join(s.dir, manifestName) }
-
-// objectPath addresses the payload file of one key: objects/<sha256(key)>.
-// Hashing the key keeps arbitrary key strings out of the filesystem
-// namespace.
-func (s *Store) objectPath(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(s.dir, objectsSub, hex.EncodeToString(sum[:]))
-}
-
-// sweepOrphans removes object files the index does not reference.
-func (s *Store) sweepOrphans() {
-	known := make(map[string]bool, len(s.entries))
-	for key := range s.entries {
-		known[filepath.Base(s.objectPath(key))] = true
-	}
-	des, err := os.ReadDir(filepath.Join(s.dir, objectsSub))
-	if err != nil {
-		return
-	}
-	for _, de := range des {
-		if !known[de.Name()] {
-			_ = os.Remove(filepath.Join(s.dir, objectsSub, de.Name()))
-		}
-	}
-}
-
 // Get returns the payload published under key, its recorded build cost and
 // true on a hit. A missing key is a miss; an unreadable or
-// checksum-mismatching payload is corruption — the entry is dropped, the
+// checksum-mismatching object is corruption — the entry is dropped, the
 // corruption counter bumped, and the call reports a miss so the caller
 // rebuilds and republishes. Every hit adds the entry's recorded build cost
 // to the saved-setup counter: that cost is exactly what the caller did not
 // re-pay.
 func (s *Store) Get(key string) ([]byte, time.Duration, bool) {
+	n := objectName(key)
+	name := string(n[:])
 	s.mu.Lock()
-	e, ok := s.entries[key]
+	e, ok := s.entries[name]
 	if !ok {
 		s.mu.Unlock()
 		s.misses.Add(1)
 		return nil, 0, false
 	}
 	s.tick++
-	e.LastUse = s.tick
-	path, wantSum, cost := s.objectPath(key), e.Sum, e.Cost
+	e.lastUse = s.tick
 	s.mu.Unlock()
 
+	path := objectPath(s.dir, name)
 	rd := s.tracer.Start(obs.CatStore, "read")
 	rd.SetDetail(key)
 	raw, err := os.ReadFile(path)
@@ -198,95 +153,96 @@ func (s *Store) Get(key string) ([]byte, time.Duration, bool) {
 	if err == nil {
 		vf := s.tracer.Start(obs.CatStore, "verify")
 		vf.SetDetail(key)
-		sum := sha256.Sum256(raw)
-		match := sum == wantSum
+		payload, cost, derr := decodeObject(raw)
 		vf.End()
-		if match {
+		if derr == nil {
+			// Best effort: the mtime carries recency across a restart.
+			now := time.Now()
+			_ = os.Chtimes(path, now, now)
 			s.hits.Add(1)
 			s.savedNS.Add(int64(cost))
-			return raw, cost, true
+			return payload, cost, true
 		}
+		err = derr
 	}
 	// Unreadable or rotted: drop the entry so the next Put can rebuild it.
 	// The caller only sees a miss, so the warning is the one place the
 	// damage is visible.
 	s.corruptions.Add(1)
 	s.logger.Warn("store: dropping corrupt entry, reporting miss",
-		slog.String("key", key), slog.Bool("unreadable", err != nil))
+		slog.String("key", key), slog.String("error", err.Error()))
 	s.mu.Lock()
-	s.dropLocked(key)
-	s.flushLocked()
+	// A Put that replaced the entry meanwhile published a verified object
+	// of its own; only the entry this Get read is dropped.
+	if s.entries[name] == e {
+		s.dropLocked(name)
+	}
 	s.mu.Unlock()
 	return nil, 0, false
 }
 
 // Put publishes payload under key with its build cost, atomically:
-// write-to-temp, sync, rename, then manifest rewrite (same discipline).
-// Re-publishing an existing key replaces it — unless the payload is
-// byte-identical to what the index already records (same digest and size),
-// in which case Put is a cheap idempotent no-op: the entry's recency is
-// bumped in memory, but neither the object file nor the manifest is
-// rewritten. That is the duplicate-publication path a fleet's work-stealing
-// double completion takes. Put never leaves a partially visible entry; on
-// error the store's prior state is intact.
+// write-to-temp, sync, rename. Re-publishing an existing key replaces it —
+// unless the object already holds a byte-identical payload, in which case
+// Put is a cheap idempotent no-op that only bumps the entry's recency in
+// memory. That is the duplicate-publication path a fleet's work-stealing
+// double completion takes; for an entry this process published it reads
+// nothing from disk. Put never leaves a partially visible entry; on error
+// the store's prior state is intact.
 func (s *Store) Put(key string, payload []byte, cost time.Duration) error {
-	if key == "" {
-		return fmt.Errorf("store: empty key")
+	if err := checkKey(key); err != nil {
+		return err
 	}
-	if len(key) > maxKeyLen {
-		return fmt.Errorf("store: key length %d exceeds %d", len(key), maxKeyLen)
-	}
-	sum := sha256.Sum256(payload)
+	n := objectName(key)
 	s.mu.Lock()
-	if e, ok := s.entries[key]; ok && e.Sum == sum && e.Size == int64(len(payload)) {
+	e := s.entries[string(n[:])]
+	s.mu.Unlock()
+	if e != nil && (e.hdr.verify(payload) == nil || published(objectPath(s.dir, string(n[:])), payload)) {
+		s.mu.Lock()
 		s.tick++
-		e.LastUse = s.tick
+		e.lastUse = s.tick
 		s.mu.Unlock()
 		return nil
 	}
-	s.mu.Unlock()
 
-	if err := WriteFileAtomic(filepath.Join(s.dir, tmpSub), "obj-*", s.objectPath(key), payload); err != nil {
-		return fmt.Errorf("store: publishing object: %w", err)
+	name := string(n[:])
+	hdr, err := writeObject(s.dir, objectPath(s.dir, name), payload, cost)
+	if err != nil {
+		return err
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.entries[key]; ok {
-		s.bytes -= old.Size
+	if old, ok := s.entries[name]; ok {
+		s.bytes -= old.size
 	}
 	s.tick++
-	s.entries[key] = &entryMeta{
-		Key:     key,
-		Sum:     sum,
-		Size:    int64(len(payload)),
-		Cost:    cost,
-		LastUse: s.tick,
-	}
+	s.entries[name] = &entry{size: int64(len(payload)), lastUse: s.tick, hdr: hdr}
 	s.bytes += int64(len(payload))
 	s.gcLocked()
-	return s.flushLocked()
+	return nil
 }
 
 // Delete removes key if present. Used by the tier above when a payload
 // decodes to garbage despite a clean checksum (a codec version change):
 // the entry is treated as corrupt and rebuilt.
 func (s *Store) Delete(key string) {
+	n := objectName(key)
+	name := string(n[:])
 	s.mu.Lock()
-	if _, ok := s.entries[key]; ok {
+	if _, ok := s.entries[name]; ok {
 		s.corruptions.Add(1)
-		s.dropLocked(key)
-		_ = s.flushLocked()
+		s.dropLocked(name)
 	}
 	s.mu.Unlock()
 }
 
 // dropLocked removes an entry and its object file. Called with mu held.
-func (s *Store) dropLocked(key string) {
-	if e, ok := s.entries[key]; ok {
-		s.bytes -= e.Size
-		delete(s.entries, key)
-		_ = os.Remove(s.objectPath(key))
+func (s *Store) dropLocked(name string) {
+	if e, ok := s.entries[name]; ok {
+		s.bytes -= e.size
+		delete(s.entries, name)
+		_ = os.Remove(objectPath(s.dir, name))
 	}
 }
 
@@ -299,48 +255,31 @@ func (s *Store) gcLocked() {
 		return
 	}
 	for s.bytes > s.maxBytes && len(s.entries) > 1 {
-		var victim *entryMeta
-		for _, e := range s.entries {
-			if e.LastUse == s.tick {
+		var victim string
+		var oldest *entry
+		for name, e := range s.entries {
+			if e.lastUse == s.tick {
 				continue // the entry just published or touched
 			}
-			if victim == nil || e.LastUse < victim.LastUse {
-				victim = e
+			if oldest == nil || e.lastUse < oldest.lastUse {
+				victim, oldest = name, e
 			}
 		}
-		if victim == nil {
+		if oldest == nil {
 			return
 		}
-		key, size := victim.Key, victim.Size
 		ev := s.tracer.Start(obs.CatStore, "evict")
-		ev.SetDetail(key)
-		ev.SetArg("bytes", size)
-		s.dropLocked(key)
+		ev.SetDetail(victim)
+		ev.SetArg("bytes", oldest.size)
+		s.dropLocked(victim)
 		ev.End()
 		s.evictions.Add(1)
 		s.logger.Warn("store: evicted least-recently-used entry",
-			slog.String("key", key),
-			slog.Int64("bytes", size),
+			slog.String("object", victim),
+			slog.Int64("bytes", oldest.size),
 			slog.Int64("store_bytes", s.bytes),
 			slog.Int64("max_bytes", s.maxBytes))
 	}
-}
-
-// flushLocked rewrites the manifest atomically. Called with mu held.
-func (s *Store) flushLocked() error {
-	metas := make([]entryMeta, 0, len(s.entries))
-	for _, e := range s.entries {
-		metas = append(metas, *e)
-	}
-	// Canonical order keeps the manifest bytes deterministic for a given
-	// state, which the fuzz round-trip relies on.
-	sort.Slice(metas, func(i, j int) bool { return metas[i].Key < metas[j].Key })
-	raw := encodeManifest(metas)
-
-	if err := WriteFileAtomic(filepath.Join(s.dir, tmpSub), "manifest-*", s.manifestPath(), raw); err != nil {
-		return fmt.Errorf("store: publishing manifest: %w", err)
-	}
-	return nil
 }
 
 // Len returns the number of published entries.

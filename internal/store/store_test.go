@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,6 +21,12 @@ func reopen(t *testing.T, dir string, opts Options) *Store {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	return s
+}
+
+// objectPath is the object file addressing key in s.
+func (s *Store) objectPath(key string) string {
+	n := objectName(key)
+	return objectPath(s.dir, string(n[:]))
 }
 
 // TestPutGetRoundTrip checks the basic contract: published bytes come back
@@ -145,34 +153,6 @@ func TestCorruptionSurvivesRestart(t *testing.T) {
 	}
 	if st := r.Stats(); st.Corruptions == 0 {
 		t.Fatalf("stats = %+v; corruption went uncounted", st)
-	}
-}
-
-// TestCorruptManifestDegradesToEmpty overwrites the manifest with garbage:
-// the store must open empty (counting the corruption) rather than fail or
-// trust the bytes, and must sweep the now-orphaned objects.
-func TestCorruptManifestDegradesToEmpty(t *testing.T) {
-	dir := t.TempDir()
-	s := reopen(t, dir, Options{})
-	if err := s.Put("k", []byte("payload"), time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.manifestPath(), []byte("not a manifest"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r := reopen(t, dir, Options{})
-	if r.Len() != 0 {
-		t.Fatalf("store built from garbage manifest has %d entries", r.Len())
-	}
-	if st := r.Stats(); st.Corruptions != 1 {
-		t.Fatalf("stats = %+v; want the manifest corruption counted", st)
-	}
-	des, err := os.ReadDir(filepath.Join(dir, objectsSub))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(des) != 0 {
-		t.Fatalf("%d orphaned objects not swept", len(des))
 	}
 }
 
@@ -333,50 +313,9 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 }
 
-// TestManifestRoundTrip pins the codec contract the fuzz target explores:
-// encode→decode is the identity, and the encoding is canonical.
-func TestManifestRoundTrip(t *testing.T) {
-	entries := []entryMeta{
-		{Key: "a", Size: 1, Cost: time.Second, LastUse: 7},
-		{Key: "b|fingerprint", Size: 1 << 30, Cost: time.Hour, LastUse: 1},
-	}
-	for i := range entries {
-		for j := range entries[i].Sum {
-			entries[i].Sum[j] = byte(i*31 + j)
-		}
-	}
-	raw := encodeManifest(entries)
-	got, err := decodeManifest(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("decoded %d entries, want %d", len(got), len(entries))
-	}
-	for i := range entries {
-		if got[i] != entries[i] {
-			t.Fatalf("entry %d: %+v != %+v", i, got[i], entries[i])
-		}
-	}
-	if !bytes.Equal(encodeManifest(got), raw) {
-		t.Fatal("re-encoding is not canonical")
-	}
-	// Flipping any byte must be caught by the self-checksum.
-	for _, i := range []int{0, len(raw) / 2, len(raw) - 1} {
-		bad := bytes.Clone(raw)
-		bad[i] ^= 0x40
-		if _, err := decodeManifest(bad); err == nil {
-			t.Fatalf("byte %d flipped yet manifest decoded", i)
-		}
-	}
-	if _, err := decodeManifest(raw[:len(raw)-5]); err == nil {
-		t.Fatal("truncated manifest decoded")
-	}
-}
-
 // TestPutDuplicateIdempotent: re-publishing a key with byte-identical
-// payload is a cheap in-memory no-op — no object rewrite, no manifest
-// rewrite, and (beyond hashing the payload) no allocation. This is what
+// payload is a cheap in-memory no-op — no object rewrite and (beyond
+// hashing the payload) no allocation. This is what
 // makes concurrent artifact publication and fleet double-completion cheap.
 func TestPutDuplicateIdempotent(t *testing.T) {
 	dir := t.TempDir()
@@ -386,10 +325,6 @@ func TestPutDuplicateIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	objBefore, err := os.Stat(s.objectPath("dup-key"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	manBefore, err := os.Stat(s.manifestPath())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,15 +344,8 @@ func TestPutDuplicateIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manAfter, err := os.Stat(s.manifestPath())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !objAfter.ModTime().Equal(objBefore.ModTime()) {
 		t.Error("duplicate Put rewrote the object file")
-	}
-	if !manAfter.ModTime().Equal(manBefore.ModTime()) {
-		t.Error("duplicate Put rewrote the manifest")
 	}
 
 	// A changed payload under the same key still replaces.
@@ -428,8 +356,8 @@ func TestPutDuplicateIdempotent(t *testing.T) {
 	if !ok || string(got) != "different" {
 		t.Fatalf("Get after replace = %q, %v", got, ok)
 	}
-	// And the duplicate fast-path survives a restart (the manifest persists
-	// the payload digest).
+	// And the duplicate fast-path survives a restart (the object's header
+	// carries the payload checksum).
 	s2 := reopen(t, dir, Options{})
 	objBefore2, err := os.Stat(s2.objectPath("dup-key"))
 	if err != nil {
@@ -444,5 +372,124 @@ func TestPutDuplicateIdempotent(t *testing.T) {
 	}
 	if !objAfter2.ModTime().Equal(objBefore2.ModTime()) {
 		t.Error("restarted duplicate Put rewrote the object file")
+	}
+}
+
+// TestGetRacesReplacingPut replaces one key back and forth between two
+// payloads while another goroutine reads it. Every object file verifies on
+// its own, so a Get that overlaps a replacement reads either the old or the
+// new object, never a false corruption that drops the fresh entry.
+func TestGetRacesReplacingPut(t *testing.T) {
+	s := reopen(t, t.TempDir(), Options{})
+	payloads := [2][]byte{
+		bytes.Repeat([]byte("a"), 4096),
+		bytes.Repeat([]byte("b"), 1024),
+	}
+	if err := s.Put("k", payloads[0], time.Second); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= 300; i++ {
+			if err := s.Put("k", payloads[i%2], time.Duration(i)); err != nil {
+				t.Errorf("Put #%d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 3000; i++ {
+		got, _, ok := s.Get("k")
+		if ok && !bytes.Equal(got, payloads[0]) && !bytes.Equal(got, payloads[1]) {
+			t.Errorf("Get #%d returned neither payload (%d bytes)", i, len(got))
+			break
+		}
+	}
+	<-done
+	if st := s.Stats(); st.Corruptions != 0 {
+		t.Fatalf("stats = %+v; a replacing Put made Get report corruption", st)
+	}
+}
+
+// TestParentFormatReadsAsMissAndHeals plants directories written in the
+// format that preceded self-verifying objects: a Store root with a MANIFEST
+// index and raw payload objects, and a Shared root with sha256‖payload
+// objects. Both must open; their objects read as counted misses, never as
+// the legacy bytes, and a re-Put heals each key — whether or not a Get saw
+// the legacy object first.
+func TestParentFormatReadsAsMissAndHeals(t *testing.T) {
+	payload := []byte("legacy artifact bytes")
+	plant := func(root, key string, raw []byte) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Join(root, objectsSub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		n := objectName(key)
+		if err := os.WriteFile(objectPath(root, string(n[:])), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dir := t.TempDir()
+	sum := sha256.Sum256(payload)
+	manifest := []byte("RPSTOR")
+	manifest = binary.AppendUvarint(manifest, 1) // version
+	manifest = binary.AppendUvarint(manifest, 2) // entries
+	for _, key := range []string{"got-first", "put-first"} {
+		plant(dir, key, payload)
+		manifest = binary.AppendUvarint(manifest, uint64(len(key)))
+		manifest = append(manifest, key...)
+		manifest = append(manifest, sum[:]...)
+		manifest = binary.AppendUvarint(manifest, uint64(len(payload)))
+		manifest = binary.AppendUvarint(manifest, uint64(time.Second))
+		manifest = binary.AppendUvarint(manifest, 1) // last use
+	}
+	manSum := sha256.Sum256(manifest)
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), append(manifest, manSum[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := reopen(t, dir, Options{})
+	if got, _, ok := s.Get("got-first"); ok {
+		t.Fatalf("legacy Store object served as a hit: %q", got)
+	}
+	if st := s.Stats(); st.Corruptions != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v; want the legacy object counted and dropped", st)
+	}
+	for _, key := range []string{"got-first", "put-first"} {
+		if err := s.Put(key, payload, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := reopen(t, dir, Options{})
+	for _, key := range []string{"got-first", "put-first"} {
+		if got, cost, ok := r.Get(key); !ok || !bytes.Equal(got, payload) || cost != time.Second {
+			t.Fatalf("healed %s: Get = %q, %v, %v", key, got, cost, ok)
+		}
+	}
+	if st := r.Stats(); st.Corruptions != 0 {
+		t.Fatalf("stats = %+v; healed store still reports corruption", st)
+	}
+
+	shDir := t.TempDir()
+	legacy := append(sum[:], payload...)
+	plant(shDir, "got-first", legacy)
+	plant(shDir, "put-first", legacy)
+	sh, err := OpenShared(shDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := sh.Get("got-first"); ok {
+		t.Fatalf("legacy Shared object served as a hit: %q", got)
+	}
+	if st := sh.Stats(); st.Corruptions != 1 {
+		t.Fatalf("shared stats = %+v; want the legacy object counted", st)
+	}
+	for _, key := range []string{"got-first", "put-first"} {
+		if dup, err := sh.Put(key, payload); err != nil || dup {
+			t.Fatalf("re-Put %s over a legacy object = dup %v, %v; want a rewrite", key, dup, err)
+		}
+		if got, ok := sh.Get(key); !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("healed shared %s: Get = %q, %v", key, got, ok)
+		}
 	}
 }
