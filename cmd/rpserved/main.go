@@ -57,9 +57,8 @@
 // goroutine, execution trace) is served on a separate listener.
 //
 // With -fleet-coordinator set (requires -store-dir), the server additionally
-// mounts the /fleet/v1/ chunk-lease protocol and delegates eligible sweeps —
-// named-workload jobs under the baseline machine setup — to rpworker
-// processes sharing <store-dir>/fleet. Uploaded-trace jobs always sweep
+// mounts the /fleet/v1/ chunk-lease protocol and delegates the sweeps of
+// named-workload jobs to rpworker processes sharing <store-dir>/fleet. Uploaded-trace jobs always sweep
 // locally. -fleet-lease-ttl and -fleet-chunk tune lease expiry and lease
 // granularity; the rpstacks_fleet_* metric families — including the
 // federated per-worker rpstacks_fleet_worker_* summaries workers report on

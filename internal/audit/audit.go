@@ -213,8 +213,8 @@ func GraphDecompose(g *depgraph.Graph) func(*stacks.Latencies) stacks.Stack {
 // mean the predictor no longer represents the machine.
 const DefaultDriftPct = 5.0
 
-// defaultWorstK bounds how many worst points a report retains.
-const defaultWorstK = 3
+// worstK bounds how many worst points a report retains.
+const worstK = 3
 
 // Options configures one audit run. The zero value audits nothing
 // (Fraction 0).
@@ -239,8 +239,6 @@ type Options struct {
 	// DriftPct is the per-point CPI error percentage above which the point
 	// counts as drift (0: DefaultDriftPct).
 	DriftPct float64
-	// WorstK bounds the worst points kept in the report (0: 3).
-	WorstK int
 	// Logger receives a warning per drifting point (nil: discard).
 	Logger *slog.Logger
 	// JobID tags drift warnings with the owning job (optional).
@@ -403,10 +401,6 @@ func Run(sweep *dse.Report, oracle Oracle, decompose func(*stacks.Latencies) sta
 	driftPct := opts.DriftPct
 	if driftPct <= 0 {
 		driftPct = DefaultDriftPct
-	}
-	worstK := opts.WorstK
-	if worstK <= 0 {
-		worstK = defaultWorstK
 	}
 
 	indices := Sample(sweep.Fingerprint, opts.Seed, len(sweep.Results), opts.Fraction, opts.MaxPoints)

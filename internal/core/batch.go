@@ -51,15 +51,11 @@ func (a *Analysis) NewBatchPredictor(k int) *BatchPredictor {
 	}
 }
 
-// Width returns the lane count K the predictor was built for: the maximum
-// number of design points one Predict call may evaluate.
-func (p *BatchPredictor) Width() int { return p.k }
-
-// Predict evaluates up to Width design points in one pass over the analysis
+// Predict evaluates up to K design points in one pass over the analysis
 // and writes the predicted cycle count of point i into out[i]. Each out[i]
 // equals Analysis.Predict(&points[i]) bit for bit — for any batch size
-// including ragged final batches shorter than Width. A batch longer than
-// Width panics: the caller owns batch slicing.
+// including ragged final batches shorter than K. A batch longer than K
+// panics: the caller owns batch slicing.
 func (p *BatchPredictor) Predict(points []stacks.Latencies, out []float64) {
 	m := len(points)
 	if m == 0 {
@@ -116,17 +112,4 @@ func (p *BatchPredictor) Predict(points []stacks.Latencies, out []float64) {
 			out[lane] += best[lane]
 		}
 	}
-}
-
-// PredictBatch evaluates every design point of the batch in one pass over
-// the analysis and returns the predicted cycle counts in point order, each
-// bit-identical to Predict on the same point. It is the allocating
-// convenience form of BatchPredictor.Predict; sweeps should reuse a
-// NewBatchPredictor per worker instead.
-func (a *Analysis) PredictBatch(points []stacks.Latencies) []float64 {
-	out := make([]float64, len(points))
-	if len(points) > 0 {
-		a.NewBatchPredictor(len(points)).Predict(points, out)
-	}
-	return out
 }

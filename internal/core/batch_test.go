@@ -61,8 +61,8 @@ func TestBatchPredictorMatchesScalar(t *testing.T) {
 	}
 	for _, k := range []int{1, 2, 3, 7, 8, 64, len(pts)} {
 		bp := a.NewBatchPredictor(k)
-		if bp.Width() != k {
-			t.Fatalf("k=%d: Width() = %d", k, bp.Width())
+		if bp.k != k {
+			t.Fatalf("k=%d: width %d", k, bp.k)
 		}
 		out := make([]float64, k)
 		for lo := 0; lo < len(pts); lo += k {
@@ -80,22 +80,18 @@ func TestBatchPredictorMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPredictBatchConvenience checks the allocating one-shot form: a batch
-// wider than the point list, the whole list at once, and the empty batch.
+// TestPredictBatchConvenience checks one-shot batches: the whole list at
+// once, the empty batch, and a batch wider than the point list.
 func TestPredictBatchConvenience(t *testing.T) {
 	a, pts := batchSubstrate(t, "429.mcf", 5, 6000, 7)
-	got := a.PredictBatch(pts)
-	if len(got) != len(pts) {
-		t.Fatalf("PredictBatch returned %d results for %d points", len(got), len(pts))
-	}
+	got := make([]float64, len(pts))
+	a.NewBatchPredictor(len(pts)).Predict(pts, got)
 	for i := range pts {
 		if want := a.Predict(&pts[i]); got[i] != want {
 			t.Fatalf("point %d: batch %v != scalar %v", i, got[i], want)
 		}
 	}
-	if out := a.PredictBatch(nil); len(out) != 0 {
-		t.Fatalf("empty batch returned %d results", len(out))
-	}
+	a.NewBatchPredictor(1).Predict(nil, nil) // the empty batch is a no-op
 	// An oversized predictor evaluating a short batch, then a shorter reuse.
 	bp := a.NewBatchPredictor(64)
 	out := make([]float64, 64)
@@ -129,7 +125,7 @@ func TestBatchPredictorPanics(t *testing.T) {
 	out := make([]float64, 4)
 	mustPanic("batch wider than K", func() { bp.Predict(pts, out) })
 	mustPanic("short output buffer", func() { bp.Predict(pts[:2], out[:1]) })
-	if w := a.NewBatchPredictor(-3).Width(); w != 1 {
+	if w := a.NewBatchPredictor(-3).k; w != 1 {
 		t.Errorf("negative lane count resolves to width %d, want 1", w)
 	}
 }

@@ -90,9 +90,6 @@ func WriteAnalysis(w io.Writer, a *Analysis) error {
 	if err := putB(o.DisableMerge); err != nil {
 		return err
 	}
-	// Opts.Parallelism is an execution parameter, not analysis content; it
-	// is deliberately not persisted and decodes as zero.
-
 	if err := putU(uint64(len(a.Segments))); err != nil {
 		return err
 	}

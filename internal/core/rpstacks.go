@@ -9,8 +9,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/depgraph"
@@ -39,11 +37,6 @@ type Options struct {
 	// graph-reconstruction longest path for every configuration — used by
 	// tests and ablations; exponential in the worst case.
 	DisableMerge bool
-	// Parallelism is the number of segments analyzed concurrently
-	// (segmentation makes the per-segment work independent, Section
-	// III-C). Zero or one means sequential. Results are deterministic
-	// regardless of the worker count.
-	Parallelism int
 }
 
 // DefaultOptions returns the paper's chosen execution parameters.
@@ -119,86 +112,21 @@ func AnalyzeRange(tr *trace.Trace, st *config.Structure, baseline *stacks.Latenc
 		return nil, fmt.Errorf("core: invalid window [%d, %d) of %d records", from, to, len(tr.Records))
 	}
 	a := &Analysis{Baseline: *baseline, MicroOps: to - from, Opts: opts}
-	n := to
-
-	// Lay out segment windows first: boundaries snap forward to the next
-	// macro-op start so commit atomicity never references across segments.
-	type window struct{ lo, hi int }
-	var wins []window
-	for lo := from; lo < n; {
-		hi := lo + opts.SegmentLength
-		if hi > n {
-			hi = n
-		}
-		for hi < n && !tr.Records[hi].SoM {
+	// One segment at a time: boundaries snap forward to the next macro-op
+	// start so commit atomicity never references across segments.
+	for lo := from; lo < to; {
+		hi := min(lo+opts.SegmentLength, to)
+		for hi < to && !tr.Records[hi].SoM {
 			hi++
 		}
-		wins = append(wins, window{lo, hi})
+		g, err := depgraph.Build(tr, st, lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		a.Segments = append(a.Segments, Segment{Lo: lo, Hi: hi, Stacks: generate(g, baseline, &opts)})
 		lo = hi
 	}
-	a.Segments = make([]Segment, len(wins))
-
-	workers := opts.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(wins) {
-		workers = len(wins)
-	}
-	analyzeOne := func(i int) error {
-		g, err := depgraph.Build(tr, st, wins[i].lo, wins[i].hi)
-		if err != nil {
-			return err
-		}
-		a.Segments[i] = Segment{Lo: wins[i].lo, Hi: wins[i].hi, Stacks: generate(g, baseline, &opts)}
-		return nil
-	}
-	if workers == 1 {
-		for i := range wins {
-			if err := analyzeOne(i); err != nil {
-				return nil, err
-			}
-		}
-		return a, nil
-	}
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		mu   sync.Mutex
-		errs error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(wins) {
-					return
-				}
-				if err := analyzeOne(i); err != nil {
-					mu.Lock()
-					if errs == nil {
-						errs = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if errs != nil {
-		return nil, errs
-	}
 	return a, nil
-}
-
-// AnalyzeGraph runs RpStacks generation over a single prebuilt graph,
-// without segmentation. It is the building block Analyze uses and is exposed
-// for tests and tools that study one window.
-func AnalyzeGraph(g *depgraph.Graph, baseline *stacks.Latencies, opts Options) []stacks.Stack {
-	return generate(g, baseline, &opts)
 }
 
 // Predict estimates the cycle count of the traced region under a latency
@@ -208,9 +136,9 @@ func AnalyzeGraph(g *depgraph.Graph, baseline *stacks.Latencies, opts Options) [
 //
 // Predict only reads the analysis, so any number of goroutines may call it
 // concurrently on a shared Analysis — parallel design-space sweeps
-// (dse.ExploreRpStacksOpts) rely on this. Dense sweeps should prefer
-// PredictBatch / BatchPredictor, which re-weight the stacks for K design
-// points per pass with bit-identical results.
+// (dse.ExploreRpStacksOpts) rely on this. Dense sweeps should prefer a
+// BatchPredictor, which re-weights the stacks for K design points per pass
+// with bit-identical results.
 func (a *Analysis) Predict(l *stacks.Latencies) float64 {
 	var total float64
 	for i := range a.Segments {

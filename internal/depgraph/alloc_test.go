@@ -52,11 +52,6 @@ func TestEvaluatorAllocFree(t *testing.T) {
 		t.Errorf("LongestPath allocates %.1f per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		sink += ev.Dists(&cfg.Lat)[g.Sink()]
-	}); n != 0 {
-		t.Errorf("Dists allocates %.1f per run, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() {
 		c, _ := ev.CriticalPath(&cfg.Lat)
 		sink += c
 	}); n != 0 {

@@ -60,20 +60,11 @@ func (g *Graph) NewBatchEvaluator(k int) *BatchEvaluator {
 	}
 }
 
-// Width returns the lane count K the evaluator was built for: the maximum
-// number of design points one LongestPaths call may evaluate.
-func (b *BatchEvaluator) Width() int { return b.k }
-
-// WeightClasses returns the number of distinct edge weights of the graph —
-// the size of the per-batch precompute, exposed for tests and sizing
-// diagnostics.
-func (b *BatchEvaluator) WeightClasses() int { return len(b.classes) }
-
-// LongestPaths evaluates up to Width design points in one pass over the
-// graph and writes the longest-path length of point i into out[i]. Each
-// out[i] is exactly Evaluator.LongestPath(&points[i]) — bit-identical, for
-// any batch size including ragged final batches shorter than Width. A batch
-// longer than Width panics: the caller owns batch slicing.
+// LongestPaths evaluates up to K design points in one pass over the graph
+// and writes the longest-path length of point i into out[i]. Each out[i] is
+// exactly Evaluator.LongestPath(&points[i]) — bit-identical, for any batch
+// size including ragged final batches shorter than K. A batch longer than K
+// panics: the caller owns batch slicing.
 func (b *BatchEvaluator) LongestPaths(points []stacks.Latencies, out []int64) {
 	m := len(points)
 	if m == 0 {

@@ -61,11 +61,8 @@ func TestBatchEvaluatorMatchesScalar(t *testing.T) {
 	}
 	for _, k := range []int{1, 2, 3, 7, 8, 64, len(pts)} {
 		be := g.NewBatchEvaluator(k)
-		if be.Width() != k {
-			t.Fatalf("k=%d: Width() = %d", k, be.Width())
-		}
-		if be.WeightClasses() < 1 || be.WeightClasses() > len(g.edges) {
-			t.Fatalf("k=%d: %d weight classes for %d edges", k, be.WeightClasses(), len(g.edges))
+		if be.k != k {
+			t.Fatalf("k=%d: width %d", k, be.k)
 		}
 		out := make([]int64, k)
 		for lo := 0; lo < len(pts); lo += k {
@@ -133,8 +130,8 @@ func TestBatchEvaluatorPanics(t *testing.T) {
 func TestBatchEvaluatorMinWidth(t *testing.T) {
 	g, pts := batchSubstrate(t, "456.hmmer", 5, 500, 1)
 	be := g.NewBatchEvaluator(0)
-	if be.Width() != 1 {
-		t.Fatalf("Width() = %d, want 1", be.Width())
+	if be.k != 1 {
+		t.Fatalf("width %d, want 1", be.k)
 	}
 	var out [1]int64
 	be.LongestPaths(pts, out[:])

@@ -158,11 +158,6 @@ func (g *Graph) Node(i int, s Stage) NodeID {
 	return NodeID((i-g.Lo)*int(NumStages) + int(s))
 }
 
-// MicroOpOf is the inverse of Node.
-func (g *Graph) MicroOpOf(n NodeID) (traceIdx int, s Stage) {
-	return g.Lo + int(n)/int(NumStages), Stage(int(n) % int(NumStages))
-}
-
 // In returns the in-edges of node n.
 func (g *Graph) In(n NodeID) []Edge {
 	s := g.nodeStart[n]

@@ -266,12 +266,14 @@ func TestNodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < len(tr.Records); i += 17 {
+	seen := make([]bool, g.NumNodes())
+	for i := range tr.Records {
 		for s := Stage(0); s < NumStages; s++ {
-			gi, gs := g.MicroOpOf(g.Node(i, s))
-			if gi != i || gs != s {
-				t.Fatalf("round trip (%d,%s) -> (%d,%s)", i, s, gi, gs)
+			n := g.Node(i, s)
+			if int(n) >= len(seen) || seen[n] {
+				t.Fatalf("node (%d,%s) = %d is out of range or taken", i, s, n)
 			}
+			seen[n] = true
 		}
 	}
 	if g.NumNodes() != len(tr.Records)*int(NumStages) {

@@ -37,14 +37,6 @@ func (e *Evaluator) LongestPath(l *stacks.Latencies) int64 {
 	return e.dist[e.g.Sink()]
 }
 
-// Dists evaluates the graph and returns the per-node longest-path distances.
-// The returned slice is the evaluator's internal buffer: it is valid until
-// the next evaluation and must not be retained across calls.
-func (e *Evaluator) Dists(l *stacks.Latencies) []int64 {
-	e.fill(l)
-	return e.dist
-}
-
 // fill recomputes the distance buffer for the latency assignment.
 func (e *Evaluator) fill(l *stacks.Latencies) {
 	g, dist := e.g, e.dist
@@ -119,13 +111,4 @@ func (g *Graph) LongestPath(l *stacks.Latencies) int64 {
 // slices) per call.
 func (g *Graph) CriticalPath(l *stacks.Latencies) (int64, stacks.Stack) {
 	return g.NewEvaluator().CriticalPath(l)
-}
-
-// Dists exposes the per-node longest-path distances for diagnostics and
-// tests. The returned slice is the throwaway Evaluator's internal buffer;
-// since nothing else references that Evaluator, the caller effectively owns
-// the slice and may retain or modify it — unlike Evaluator.Dists, whose
-// buffer is invalidated by the next evaluation.
-func (g *Graph) Dists(l *stacks.Latencies) []int64 {
-	return g.NewEvaluator().Dists(l)
 }

@@ -118,6 +118,30 @@ func TestCheckpointCrashResumeDifferential(t *testing.T) {
 	}
 }
 
+// TestCheckpointSerialPersistsEveryChunk: a one-worker sweep with no
+// Context walks the same chunks a parallel one does, so every completed
+// chunk reaches disk, not one file for the whole sweep at the end.
+func TestCheckpointSerialPersistsEveryChunk(t *testing.T) {
+	_, g, _, pts := prepareWorkload(t, "429.mcf", 7, 2500, 12)
+	const chunk = 3
+	dir := t.TempDir()
+	rep, err := ExploreGraphOpts(g, pts, ExploreOptions{
+		Parallelism: 1,
+		ChunkSize:   chunk,
+		Checkpoint:  &Checkpoint{Dir: dir},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := (len(pts) + chunk - 1) / chunk
+	if got := len(chunkFiles(t, dir)); got != want {
+		t.Fatalf("serial sweep of %d points at chunk %d left %d chunk files, want %d", len(pts), chunk, got, want)
+	}
+	if len(rep.Workers) != 1 || rep.Workers[0].Points != len(pts) {
+		t.Fatalf("worker timings %+v, want one worker covering %d points", rep.Workers, len(pts))
+	}
+}
+
 // TestCheckpointRejectsForeignSweep writes a checkpoint with one sweep and
 // resumes with different design points: the fingerprint must make that a
 // hard error, never a silent mix of two sweeps' results.

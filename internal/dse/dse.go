@@ -303,9 +303,6 @@ func runPoints(e *Engine, rep *Report, points []stacks.Latencies, opts ExploreOp
 	// The sweep walks pending-index space; chunk files are disjoint across
 	// resumes because a restored point never becomes pending again.
 	wall, workers, err := sweep(len(pending), opts, func(worker, lo, hi int) error {
-		if lo == hi {
-			return nil // fully resumed sweep: nothing to evaluate or publish
-		}
 		if err := evalChunk(worker, pending, lo, hi); err != nil {
 			return err
 		}

@@ -686,17 +686,6 @@ func Search(e *Engine, base stacks.Latencies, space *Space, spec *SearchSpec, op
 	return s.res, nil
 }
 
-// SearchWith runs a guided search whose every round is evaluated by
-// opts.RoundEval — no in-process engine at all. It is the substrate of the
-// property tests (searching synthetic monotone surfaces) and of callers
-// that fully delegate probing.
-func SearchWith(base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
-	if opts.RoundEval == nil {
-		return nil, fmt.Errorf("dse: SearchWith needs SearchOptions.RoundEval")
-	}
-	return Search(&Engine{method: "custom", scalarOnly: true}, base, space, spec, opts)
-}
-
 // Exhaustive folds plan-ordered cycle counts (cycles[i] is the prediction
 // of canonical index i, e.g. an Explore sweep over plan.Enumerate's points)
 // into the answer the search mode must return. It is the reference of the

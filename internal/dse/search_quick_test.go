@@ -129,7 +129,7 @@ func TestSearchQuickProperties(t *testing.T) {
 			opts.Parallelism = 2
 			opts.ChunkSize = 1
 		}
-		res, err := SearchWith(base, space, spec, opts)
+		res, err := searchWith(base, space, spec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestSearchSublinearProbes(t *testing.T) {
 		return out, nil
 	}
 	const microOps = 1000
-	halve, err := SearchWith(base, space, &SearchSpec{Mode: SearchHalving}, SearchOptions{MicroOps: microOps, RoundEval: eval})
+	halve, err := searchWith(base, space, &SearchSpec{Mode: SearchHalving}, SearchOptions{MicroOps: microOps, RoundEval: eval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestSearchSublinearProbes(t *testing.T) {
 		maxC += float64(k+1) * 15
 	}
 	budget := math.Floor((minC+maxC)/2) + 0.5
-	target, err := SearchWith(base, space, &SearchSpec{Mode: SearchTarget, TargetCPI: budget / microOps}, SearchOptions{MicroOps: microOps, RoundEval: eval})
+	target, err := searchWith(base, space, &SearchSpec{Mode: SearchTarget, TargetCPI: budget / microOps}, SearchOptions{MicroOps: microOps, RoundEval: eval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,4 +262,11 @@ func TestSearchSublinearProbes(t *testing.T) {
 	if target.Probes > int(target.GridPoints/2) {
 		t.Fatalf("target probed %d of %d points", target.Probes, target.GridPoints)
 	}
+}
+
+// searchWith runs a guided search whose every round is evaluated by
+// opts.RoundEval, with no in-process engine: the substrate for searching
+// synthetic monotone surfaces.
+func searchWith(base stacks.Latencies, space *Space, spec *SearchSpec, opts SearchOptions) (*SearchResult, error) {
+	return Search(&Engine{method: "custom", scalarOnly: true}, base, space, spec, opts)
 }

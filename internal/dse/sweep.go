@@ -10,13 +10,11 @@ import (
 )
 
 // ExploreOptions configures how a sweep engine walks the design-point list.
-// The zero value is a serial sweep, identical to the engines' historical
-// behaviour.
+// The zero value is a one-worker sweep.
 type ExploreOptions struct {
-	// Parallelism is the number of sweep workers. Zero or one runs the
-	// per-point loop serially. Results are written into a pre-sized slice by
-	// design-point index, so output ordering is deterministic and identical
-	// to the serial sweep regardless of the worker count.
+	// Parallelism is the number of sweep workers; zero means one. Results
+	// are written into a pre-sized slice by design-point index, so output
+	// ordering is deterministic and identical at every worker count.
 	Parallelism int
 	// ChunkSize is the number of consecutive design points one work unit
 	// claims. Zero picks a size that gives every worker several chunks (for
@@ -27,12 +25,10 @@ type ExploreOptions struct {
 	// Report.Total and Crossover need no hand-patching by callers.
 	Setup time.Duration
 	// Context, when non-nil, cancels the sweep between work units: every
-	// worker (including the serial one) checks it before claiming its next
-	// chunk and the sweep returns the context's error. Cancellation
-	// granularity is therefore one chunk — callers wanting prompt
-	// cancellation of slow per-point engines should pick a small ChunkSize.
-	// A nil Context never cancels and keeps the serial fast path free of
-	// per-chunk checks.
+	// worker checks it before claiming its next chunk and the sweep returns
+	// the context's error. Cancellation granularity is therefore one chunk —
+	// callers wanting prompt cancellation of slow per-point engines should
+	// pick a small ChunkSize. A nil Context never cancels.
 	Context context.Context
 	// Checkpoint, when non-nil, makes the sweep crash-safe: every completed
 	// chunk of design points is atomically persisted under Checkpoint.Dir,
@@ -116,9 +112,6 @@ func sweep(n int, opts ExploreOptions, eval func(worker, lo, hi int) error) (tim
 	if tr := opts.Tracer; tr != nil {
 		inner, parent := eval, opts.TraceParent
 		eval = func(worker, lo, hi int) error {
-			if hi == lo { // fully-resumed sweep: nothing evaluated, no span
-				return inner(worker, lo, hi)
-			}
 			sp := tr.StartChild(parent, obs.CatDSE, obs.NameChunk)
 			sp.SetTID(worker)
 			sp.SetArg(obs.ArgPoints, int64(hi-lo))
@@ -128,33 +121,6 @@ func sweep(n int, opts ExploreOptions, eval func(worker, lo, hi int) error) (tim
 		}
 	}
 	start := time.Now()
-	if workers == 1 {
-		if ctx == nil {
-			err := eval(0, 0, n)
-			wall := time.Since(start)
-			return wall, []WorkerTiming{{Worker: 0, Points: n, Busy: wall}}, err
-		}
-		// Cancellable serial sweep: walk the same chunks a one-worker pool
-		// would, checking the context between them.
-		t := WorkerTiming{Worker: 0}
-		var err error
-		for lo := 0; lo < n; lo += chunk {
-			if err = ctx.Err(); err != nil {
-				break
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			if err = eval(0, lo, hi); err != nil {
-				break
-			}
-			t.Points += hi - lo
-		}
-		wall := time.Since(start)
-		t.Busy = wall
-		return wall, []WorkerTiming{t}, err
-	}
 	var (
 		next     atomic.Int64
 		failed   atomic.Bool

@@ -125,14 +125,6 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = c.lines[i][:0]
-	}
-	c.Hits, c.Misses = 0, 0
-}
-
 // TLB is a fully-associative LRU translation buffer over page numbers.
 type TLB struct {
 	entries   int
@@ -177,10 +169,4 @@ func (t *TLB) Access(addr uint64) bool {
 	copy(t.pages[1:], t.pages[:len(t.pages)-1])
 	t.pages[0] = page
 	return false
-}
-
-// Reset clears contents and counters.
-func (t *TLB) Reset() {
-	t.pages = t.pages[:0]
-	t.Hits, t.Misses = 0, 0
 }

@@ -69,14 +69,3 @@ func (h *Hierarchy) TranslateI(addr uint64) bool { return h.ITLBs.Access(addr) }
 
 // TranslateD accesses the data TLB and reports a hit.
 func (h *Hierarchy) TranslateD(addr uint64) bool { return h.DTLBs.Access(addr) }
-
-// Reset clears all contents and counters.
-func (h *Hierarchy) Reset() {
-	h.L1I.Reset()
-	h.L1D.Reset()
-	h.L2.Reset()
-	h.ITLBs.Reset()
-	h.DTLBs.Reset()
-	h.IServed = [NumLevels]uint64{}
-	h.DServed = [NumLevels]uint64{}
-}

@@ -35,7 +35,7 @@ import (
 type Record struct {
 	ID     uint64 // unique per tracer, 1-based
 	Parent uint64 // ID of the enclosing span; 0 for roots
-	Cat    string // subsystem: "dse", "job", "cache", "store", "cpu"
+	Cat    string // subsystem: "dse", "job", "cache", "cpu", "audit", "fleet"
 	Name   string // operation within the subsystem
 	Detail string // free-form label: engine name, cache key, job id
 	TID    int    // worker / lane attribution (sweep worker index)
@@ -121,9 +121,6 @@ func NewTracer(capacity int, opts ...Option) *Tracer {
 	}
 	return t
 }
-
-// Enabled reports whether spans will be recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // Now reads the tracer's monotonic clock — the timebase every recorded
 // Start/Dur is expressed in. Cross-process clock synchronization samples it

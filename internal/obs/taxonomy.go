@@ -18,8 +18,6 @@ const (
 	// build, singleflight-wait, plus the builder's disk-read/decode/
 	// compute/publish children.
 	CatCache = "cache"
-	// CatStore covers internal/store: read, verify, evict.
-	CatStore = "store"
 	// CatCPU covers internal/cpu simulation phases: warmup, prepare,
 	// simulate.
 	CatCPU = "cpu"

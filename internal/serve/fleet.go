@@ -3,37 +3,24 @@ package serve
 import (
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"time"
 
-	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/fleet"
 	"repro/internal/stacks"
 )
 
 // fleet.go — the coordinator face of the sweep fleet. With Config.FleetStore
-// set, the server mounts the /fleet/v1/ lease protocol and routes eligible
-// sweeps through rpworker processes instead of its own goroutines; the
-// assembled Report flows into ranking, auditing and metrics exactly like a
-// local sweep's.
+// set, the server mounts the /fleet/v1/ lease protocol and routes the sweeps
+// of named-workload jobs through rpworker processes instead of its own
+// goroutines; the assembled Report flows into ranking, auditing and metrics
+// exactly like a local sweep's.
 //
-// Eligibility is identity-driven: a worker rebuilds the engine inputs from
-// (workload, seed, µops) under the *baseline* machine and *default* analysis
-// options, so only a server running that same setup may delegate — and
-// uploaded traces, which have no regeneration recipe, always run locally.
-// The sweep fingerprint then proves the match bit-for-bit on every worker.
-
-// fleetDefaultsMatch reports whether this server's machine setup is the one
-// fleet workers deterministically rebuild: the baseline configuration and
-// the default RpStacks analysis options.
-func fleetDefaultsMatch(cfg *config.Config, opts core.Options) bool {
-	cj, err1 := json.Marshal(cfg)
-	bj, err2 := json.Marshal(config.Baseline())
-	return err1 == nil && err2 == nil && string(cj) == string(bj) &&
-		opts == core.DefaultOptions()
-}
+// A worker rebuilds the engine inputs from (workload, seed, µops) under the
+// baseline machine and default analysis options, the setup the server always
+// runs. Uploaded traces have no regeneration recipe and always run locally.
+// The sweep fingerprint proves the match bit-for-bit on every worker: a
+// worker refuses any sweep whose fingerprint differs from its rebuild.
 
 // fleetSweep runs the job's sweep through the fleet coordinator: compute the
 // sweep identity fingerprint from the engine inputs already in hand, hand

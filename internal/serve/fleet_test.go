@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/fleet"
-	"repro/internal/stacks"
 	"repro/internal/store"
 )
 
@@ -218,46 +216,6 @@ func TestServerFleetDelegation(t *testing.T) {
 	exp = readAll(t, resp)
 	if v := metricValue(t, exp, `rpstacks_fleet_chunks_completed_total{result="first"}`); v != 4 {
 		t.Errorf("fleet first completions after upload job = %g, want still 4", v)
-	}
-
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-}
-
-// TestServerFleetIneligibleConfig proves the eligibility gate: a server whose
-// machine setup differs from the baseline the workers rebuild must not
-// delegate — the sweep runs locally and still answers correctly, with no
-// workers attached at all.
-func TestServerFleetIneligibleConfig(t *testing.T) {
-	shared, err := store.OpenShared(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := config.Baseline()
-	cfg.Lat[stacks.L2D] += 2 // not the setup workers deterministically rebuild
-	s := New(Config{
-		Workers:       1,
-		QueueDepth:    4,
-		BaseConfig:    cfg,
-		FleetStore:    shared,
-		FleetLeaseTTL: time.Minute,
-	})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	// No workers started: if the server tried to delegate, the job would hang
-	// until its deadline instead of finishing.
-	v, code := submitJob(t, ts.URL, testBody(""))
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d, want 202", code)
-	}
-	done := pollJob(t, ts.URL, v.ID)
-	if done.Status != JobDone {
-		t.Fatalf("status %s (error %q), want done", done.Status, done.Error)
-	}
-	if done.Result == nil || len(done.Result.Points) == 0 {
-		t.Fatal("job done without ranked points")
 	}
 
 	if err := s.Shutdown(context.Background()); err != nil {

@@ -66,15 +66,8 @@ type Config struct {
 	// CacheEntries bounds each artifact cache (workload simulations and
 	// per-digest analysis/graph pairs).
 	CacheEntries int
-	// RetainedJobs bounds the finished-job records kept for polling.
-	RetainedJobs int
 	// Limits bounds individual requests; zero means DefaultLimits.
 	Limits Limits
-	// BaseConfig is the machine under exploration (nil: config.Baseline).
-	BaseConfig *config.Config
-	// AnalysisOpts are the RpStacks execution parameters (zero:
-	// core.DefaultOptions).
-	AnalysisOpts core.Options
 	// Store, when non-nil, is the durable artifact tier: traces and analyses
 	// are published to it and restarts of the service warm-start from it.
 	// The caller owns opening (store.Open) and thereby chooses directory and
@@ -89,10 +82,10 @@ type Config struct {
 	// disables per-job tracing entirely.
 	TraceCapacity int
 	// FleetStore, when non-nil, turns the server into a fleet coordinator:
-	// it mounts the /fleet/v1/ chunk-lease protocol and delegates eligible
-	// sweeps (regenerable workload jobs under the baseline setup) to
-	// rpworker processes publishing into this shared blob root. Workers must
-	// open the same directory. Nil keeps every sweep in-process.
+	// it mounts the /fleet/v1/ chunk-lease protocol and delegates the
+	// sweeps of named-workload jobs to rpworker processes publishing into
+	// this shared blob root. Workers must open the same directory. Nil
+	// keeps every sweep in-process.
 	FleetStore *store.Shared
 	// FleetLeaseTTL is the fleet lease heartbeat TTL (zero: 10s).
 	FleetLeaseTTL time.Duration
@@ -124,10 +117,17 @@ type Config struct {
 // retained-job bound keeps total trace memory modest.
 const defaultTraceCapacity = 512
 
+// retainedJobs bounds the finished-job records kept for polling.
+const retainedJobs = 1024
+
 // Server is the exploration service. Create with New, expose as an
 // http.Handler, stop with Shutdown.
 type Server struct {
-	cfg    Config
+	cfg Config
+	// base is the machine under exploration. The server always runs the
+	// baseline configuration with core.DefaultOptions: the setup fleet
+	// workers rebuild, which their sweep-fingerprint check proves.
+	base   *config.Config
 	mux    *http.ServeMux
 	logger *slog.Logger
 
@@ -136,13 +136,8 @@ type Server struct {
 	workloads *cache.Tiered[*workloadArtifacts]
 	artifacts *cache.Tiered[*setupArtifacts]
 
-	// fleet is the sweep coordinator when Config.FleetStore is set;
-	// fleetEligible gates delegation to servers whose machine setup is the
-	// one workers rebuild (baseline config, default analysis options) — a
-	// mismatched setup would make every worker refuse the sweep, so such
-	// servers keep sweeping locally.
-	fleet         *fleet.Coordinator
-	fleetEligible bool
+	// fleet is the sweep coordinator when Config.FleetStore is set.
+	fleet *fleet.Coordinator
 	// fleetJobs maps an active fleet sweep ID (the hex fingerprint) to the
 	// job that delegated it, so coordinator lease events land on the right
 	// journal stream.
@@ -220,17 +215,8 @@ func New(cfg Config) *Server {
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 32
 	}
-	if cfg.RetainedJobs <= 0 {
-		cfg.RetainedJobs = 1024
-	}
 	if cfg.Limits == (Limits{}) {
 		cfg.Limits = DefaultLimits()
-	}
-	if cfg.BaseConfig == nil {
-		cfg.BaseConfig = config.Baseline()
-	}
-	if cfg.AnalysisOpts == (core.Options{}) {
-		cfg.AnalysisOpts = core.DefaultOptions()
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -250,6 +236,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:       cfg,
+		base:      config.Baseline(),
 		logger:    cfg.Logger,
 		metrics:   newMetrics(),
 		store:     cfg.Store,
@@ -285,8 +272,8 @@ func New(cfg Config) *Server {
 		s.metrics.declareSLOs(cfg.SLOTargets)
 	}
 
-	cfgJSON, _ := json.Marshal(cfg.BaseConfig)
-	print := sha256.Sum256(fmt.Appendf(cfgJSON, "|%+v", cfg.AnalysisOpts))
+	cfgJSON, _ := json.Marshal(s.base)
+	print := sha256.Sum256(fmt.Appendf(cfgJSON, "|%+v", core.DefaultOptions()))
 	s.setupPrint = fmt.Sprintf("%x", print[:8])
 	cfgOnly := sha256.Sum256(cfgJSON)
 	s.cfgPrint = fmt.Sprintf("%x", cfgOnly[:8])
@@ -321,11 +308,6 @@ func New(cfg Config) *Server {
 		// The coordinator's mux matches full /fleet/v1/... paths, so it
 		// mounts without a strip.
 		s.mux.Handle("/fleet/", s.fleet)
-		s.fleetEligible = fleetDefaultsMatch(cfg.BaseConfig, cfg.AnalysisOpts)
-		if !s.fleetEligible {
-			cfg.Logger.Warn("serve: fleet coordinator mounted but sweeps stay local: " +
-				"non-baseline machine setup cannot be rebuilt by workers")
-		}
 	}
 
 	s.wg.Add(cfg.Workers)
@@ -531,7 +513,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 		return nil, err
 	}
 	setupWall := time.Since(setupStart)
-	in := dse.EngineInputs{Cfg: s.cfg.BaseConfig, UOps: uops}
+	in := dse.EngineInputs{Cfg: s.base, UOps: uops}
 	if art != nil {
 		in.Analysis, in.Graph = art.analysis, art.graph
 	}
@@ -551,7 +533,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 		// grid, which may be far beyond MaxGridPoints for search jobs.
 		return s.executeSearch(ctx, job, eng, tr, art, digest, setupWall, cached, par)
 	}
-	points := spec.Space.Enumerate(s.cfg.BaseConfig.Lat)
+	points := spec.Space.Enumerate(s.base.Lat)
 	opts := dse.ExploreOptions{
 		Parallelism: par,
 		BatchSize:   spec.BatchSize,
@@ -564,7 +546,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 		NeedFingerprint: spec.AuditFraction > 0,
 	}
 	var rep *dse.Report
-	if s.fleet != nil && s.fleetEligible && spec.Trace == nil {
+	if s.fleet != nil && spec.Trace == nil {
 		// Distributed sweep: workers regenerate the engine inputs from the
 		// job recipe; uploaded traces have no recipe and stay local.
 		rep, err = s.fleetSweep(ctx, job, eng, points, setupWall, false)
@@ -590,10 +572,11 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 }
 
 // executeSearch runs phase 3 of a guided-search job: the lazy probe loop
-// through the job's engine (or, when eligible, the sweep fleet — each probe
-// round becomes one distributed sweep over the round's points), online
-// verification of every returned optimum through an audit oracle, and the
-// rendering of the SearchResult into the job's result shape.
+// through the job's engine (or, for a named workload under a fleet, the
+// sweep fleet — each probe round becomes one distributed sweep over the
+// round's points), online verification of every returned optimum through
+// an audit oracle, and the rendering of the SearchResult into the job's
+// result shape.
 func (s *Server) executeSearch(ctx context.Context, job *Job, eng *dse.Engine, tr *trace.Trace,
 	art *setupArtifacts, digest string, setupWall time.Duration, cached bool, par int) (*JobResult, error) {
 	spec := job.Spec
@@ -627,7 +610,7 @@ func (s *Server) executeSearch(ctx context.Context, job *Job, eng *dse.Engine, t
 		c, _, err := oracle.Truth(ctx, l)
 		return c, err
 	}
-	if s.fleet != nil && s.fleetEligible && spec.Trace == nil {
+	if s.fleet != nil && spec.Trace == nil {
 		opts.RoundEval = func(rctx context.Context, pts []stacks.Latencies) ([]float64, error) {
 			rep, err := s.fleetSweep(rctx, job, eng, pts, 0, true)
 			if err != nil {
@@ -640,7 +623,7 @@ func (s *Server) executeSearch(ctx context.Context, job *Job, eng *dse.Engine, t
 			return out, nil
 		}
 	}
-	res, err := dse.Search(eng, s.cfg.BaseConfig.Lat, &spec.Space, spec.Search, opts)
+	res, err := dse.Search(eng, s.base.Lat, &spec.Space, spec.Search, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -767,7 +750,7 @@ func (s *Server) simOracle(spec *JobSpec) (*audit.SimOracle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	return audit.RegionOracle(s.cfg.BaseConfig, r), nil
+	return audit.RegionOracle(s.base, r), nil
 }
 
 // auditKey is the durable-store key of one job's audit report.
@@ -796,7 +779,7 @@ func (s *Server) buildWorkload(spec *JobSpec, otr *obs.Tracer, parent uint64) (*
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: %w", err)
 	}
-	tr, err := cpu.RunRegion(s.cfg.BaseConfig, r, otr, parent)
+	tr, err := cpu.RunRegion(s.base, r, otr, parent)
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: simulating %s: %w", spec.Workload, err)
 	}
@@ -854,7 +837,7 @@ func (s *Server) setupCodec(tr *trace.Trace) cache.Codec[*setupArtifacts] {
 			if err != nil {
 				return nil, err
 			}
-			g, err := depgraph.Build(tr, &s.cfg.BaseConfig.Structure, 0, len(tr.Records))
+			g, err := depgraph.Build(tr, &s.base.Structure, 0, len(tr.Records))
 			if err != nil {
 				return nil, err
 			}
@@ -868,11 +851,11 @@ func (s *Server) setupCodec(tr *trace.Trace) cache.Codec[*setupArtifacts] {
 // graph, both reusable for any latency configuration of the structure.
 func (s *Server) buildArtifacts(tr *trace.Trace) (*setupArtifacts, time.Duration, error) {
 	start := time.Now()
-	analysis, err := core.Analyze(tr, &s.cfg.BaseConfig.Structure, &s.cfg.BaseConfig.Lat, s.cfg.AnalysisOpts)
+	analysis, err := core.Analyze(tr, &s.base.Structure, &s.base.Lat, core.DefaultOptions())
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: analyzing trace: %w", err)
 	}
-	g, err := depgraph.Build(tr, &s.cfg.BaseConfig.Structure, 0, len(tr.Records))
+	g, err := depgraph.Build(tr, &s.base.Structure, 0, len(tr.Records))
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: building graph: %w", err)
 	}
@@ -952,7 +935,7 @@ func (s *Server) unregister(id string) {
 func (s *Server) retire(job *Job) {
 	s.jobsMu.Lock()
 	s.doneOrder = append(s.doneOrder, job.ID)
-	for len(s.doneOrder) > s.cfg.RetainedJobs {
+	for len(s.doneOrder) > retainedJobs {
 		delete(s.jobs, s.doneOrder[0])
 		s.doneOrder = s.doneOrder[1:]
 	}

@@ -82,16 +82,6 @@ func (e Event) String() string {
 // Valid reports whether e names a real event kind.
 func (e Event) Valid() bool { return e < NumEvents }
 
-// Events returns all event kinds in taxonomy order. The returned slice is
-// freshly allocated and may be modified by the caller.
-func Events() []Event {
-	evs := make([]Event, NumEvents)
-	for i := range evs {
-		evs[i] = Event(i)
-	}
-	return evs
-}
-
 // ParseEvent resolves a canonical event name (as produced by Event.String)
 // back to the event kind.
 func ParseEvent(name string) (Event, error) {

@@ -117,16 +117,6 @@ func (s *Stack) Dominates(o *Stack) bool {
 	return true
 }
 
-// Scaled returns a copy of s with every count multiplied by w. It is used to
-// combine SimPoint representative stacks with their cluster weights.
-func (s *Stack) Scaled(w float64) Stack {
-	var out Stack
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] * w
-	}
-	return out
-}
-
 // IsZero reports whether the stack holds no events at all.
 func (s *Stack) IsZero() bool {
 	for i := range s.Counts {

@@ -34,8 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Options parameterizes Open.
@@ -46,10 +44,6 @@ type Options struct {
 	// Logger receives structured warnings for the events an operator should
 	// see — corrupt entries dropped, evictions. Nil discards.
 	Logger *slog.Logger
-	// Tracer, when non-nil, records store activity as spans: read and
-	// verify per Get, evict per garbage-collected entry. Nil records
-	// nothing.
-	Tracer *obs.Tracer
 }
 
 // Store is an on-disk content-addressed blob store. Construct with Open.
@@ -57,7 +51,6 @@ type Store struct {
 	dir      string
 	maxBytes int64
 	logger   *slog.Logger
-	tracer   *obs.Tracer
 
 	mu      sync.Mutex
 	entries map[string]*entry // keyed by object file name
@@ -96,7 +89,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	s := &Store{dir: dir, maxBytes: opts.MaxBytes, logger: logger, tracer: opts.Tracer,
+	s := &Store{dir: dir, maxBytes: opts.MaxBytes, logger: logger,
 		entries: make(map[string]*entry, len(des))}
 
 	infos := make([]fs.FileInfo, 0, len(des))
@@ -145,16 +138,9 @@ func (s *Store) Get(key string) ([]byte, time.Duration, bool) {
 	s.mu.Unlock()
 
 	path := objectPath(s.dir, name)
-	rd := s.tracer.Start(obs.CatStore, "read")
-	rd.SetDetail(key)
 	raw, err := os.ReadFile(path)
-	rd.SetArg("bytes", int64(len(raw)))
-	rd.End()
 	if err == nil {
-		vf := s.tracer.Start(obs.CatStore, "verify")
-		vf.SetDetail(key)
 		payload, cost, derr := decodeObject(raw)
-		vf.End()
 		if derr == nil {
 			// Best effort: the mtime carries recency across a restart.
 			now := time.Now()
@@ -268,11 +254,7 @@ func (s *Store) gcLocked() {
 		if oldest == nil {
 			return
 		}
-		ev := s.tracer.Start(obs.CatStore, "evict")
-		ev.SetDetail(victim)
-		ev.SetArg("bytes", oldest.size)
 		s.dropLocked(victim)
-		ev.End()
 		s.evictions.Add(1)
 		s.logger.Warn("store: evicted least-recently-used entry",
 			slog.String("object", victim),
