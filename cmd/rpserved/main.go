@@ -22,7 +22,7 @@
 //	GET  /jobs        list known jobs
 //	GET  /jobs/{id}   poll one job, including its ranked results when done
 //	GET  /metrics     Prometheus text exposition
-//	GET  /healthz     liveness and queue state
+//	GET  /healthz     liveness: status, uptime and queue depth
 //	GET  /readyz      readiness: 503 while draining or shedding, 200 otherwise
 //	GET  /debug/trace per-job flight-recorder trace (?job=<id>&format=chrome|folded);
 //	                  fleet-delegated jobs serve the merged multi-process
@@ -35,10 +35,10 @@
 //	GET  /debug/jobs/{id}/events  live Server-Sent Events stream of the job's
 //	                  lifecycle (queued → running → progress → fleet → done),
 //	                  resumable via the Last-Event-ID header or ?after=<seq>
-//	GET  /debug/status aggregate operational snapshot (?format=json|html)
 //
 // The job journal is on by default (bound with -journal-capacity; negative
-// disables it) and persists finished flight records through -store-dir.
+// disables it) and persists finished flight records through -store-dir; its
+// own counters are the rpstacks_journal_* families on /metrics.
 // -slo-rpstacks, -slo-graph and -slo-sim declare per-engine latency
 // objectives, exported as the rpstacks_slo_* families (target info and
 // good/events counters, from which PromQL derives burn rates). A job slower

@@ -1,8 +1,8 @@
 // Package audit implements shadow-sampling accuracy auditing for the sweep
 // engines: during (strictly: immediately after) a graph- or RpStacks-engine
 // sweep it deterministically samples a handful of design points, re-derives
-// their ground truth under a bounded concurrency/time budget, and scores the
-// sweep's predictions — per-point CPI error plus a per-event-class
+// their ground truth at bounded concurrency under a cancellable context, and
+// scores the sweep's predictions — per-point CPI error plus a per-event-class
 // stall-stack divergence breakdown that says *which* penalty class the
 // prediction got wrong.
 //
@@ -230,10 +230,6 @@ type Options struct {
 	// (0: no cap). It bounds work up front; points it cuts are not counted
 	// as skipped.
 	MaxPoints int
-	// Budget is the wall-clock budget for ground-truth runs. Once it is
-	// spent, remaining sampled points are counted in Report.Skipped instead
-	// of being evaluated (0: no time budget).
-	Budget time.Duration
 	// Parallelism is the number of concurrent oracle runs (<=1: serial).
 	Parallelism int
 	// DriftPct is the per-point CPI error percentage above which the point
@@ -245,7 +241,7 @@ type Options struct {
 	JobID string
 	// Context cancels the audit between points: remaining sampled points
 	// are counted as skipped and Run returns the partial report without an
-	// error, mirroring the budget semantics.
+	// error. Served jobs bound their audits through it.
 	Context context.Context
 	// Tracer, when non-nil, records one audit root span plus one child per
 	// ground-truth run (TID = audit worker).
@@ -340,8 +336,8 @@ type Report struct {
 	DriftPct    float64 `json:"drift_threshold_pct"`
 	GridPoints  int     `json:"grid_points"`
 	// Sampled is the deterministic sample size; Audited of those were
-	// ground-truthed, Skipped were abandoned to the time budget or
-	// cancellation.
+	// ground-truthed, Skipped were abandoned to cancellation (the JSON
+	// name predates the context and is kept for readers).
 	Sampled int   `json:"sampled"`
 	Audited int   `json:"audited"`
 	Skipped int   `json:"skipped_budget"`
@@ -377,7 +373,7 @@ func (r *Report) Summary() string {
 
 // Run audits a finished sweep: it samples the report's design points from
 // the sweep fingerprint, re-derives each sampled point's ground truth
-// through the oracle under the configured budget, and scores the sweep's
+// through the oracle under opts.Context, and scores the sweep's
 // predictions. decompose, when non-nil, supplies the engine's predicted
 // stall-stack at a point for the per-class divergence breakdown. The sweep
 // report is only read — an audited sweep's Results are bit-identical to an
@@ -386,8 +382,8 @@ func (r *Report) Summary() string {
 // Run returns (nil, nil) when opts.Fraction is zero or negative. It errors
 // when the sweep carries no fingerprint (run it with
 // ExploreOptions.NeedFingerprint or a Checkpoint) or when the oracle fails;
-// budget exhaustion and context cancellation are not errors — remaining
-// points are reported as Skipped.
+// context cancellation is not an error — remaining points are reported as
+// Skipped.
 func Run(sweep *dse.Report, oracle Oracle, decompose func(*stacks.Latencies) stacks.Stack, opts Options) (*Report, error) {
 	if opts.Fraction <= 0 {
 		return nil, nil
@@ -422,10 +418,6 @@ func Run(sweep *dse.Report, oracle Oracle, decompose func(*stacks.Latencies) sta
 	defer root.End()
 
 	start := time.Now()
-	var deadline time.Time
-	if opts.Budget > 0 {
-		deadline = start.Add(opts.Budget)
-	}
 
 	type scored struct {
 		point PointAudit
@@ -445,12 +437,7 @@ func Run(sweep *dse.Report, oracle Oracle, decompose func(*stacks.Latencies) sta
 		}
 	}()
 
-	overBudget := func() bool {
-		if opts.Context != nil && opts.Context.Err() != nil {
-			return true
-		}
-		return !deadline.IsZero() && time.Now().After(deadline)
-	}
+	canceled := func() bool { return opts.Context != nil && opts.Context.Err() != nil }
 
 	workers := opts.Parallelism
 	if workers < 1 {
@@ -468,7 +455,7 @@ func Run(sweep *dse.Report, oracle Oracle, decompose func(*stacks.Latencies) sta
 				mu.Lock()
 				failed := runErr != nil
 				mu.Unlock()
-				if failed || overBudget() {
+				if failed || canceled() {
 					mu.Lock()
 					skipped++
 					mu.Unlock()
@@ -481,8 +468,8 @@ func Run(sweep *dse.Report, oracle Oracle, decompose func(*stacks.Latencies) sta
 				sp.End()
 				if err != nil {
 					mu.Lock()
-					if opts.Context != nil && opts.Context.Err() != nil {
-						skipped++ // cancellation mid-oracle: budget semantics
+					if canceled() {
+						skipped++ // cancellation mid-oracle: counted as skipped
 					} else if runErr == nil {
 						runErr = err
 					}

@@ -3,7 +3,6 @@ package audit
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -285,8 +284,7 @@ func TestDegradedPredictorTripsDrift(t *testing.T) {
 	}
 }
 
-// TestCanceledContextSkips checks the budget semantics of cancellation: a
-// canceled context audits nothing and reports every sampled point as
+// TestCanceledContextSkips checks the skip path: a canceled context audits nothing and reports every sampled point as
 // skipped, without an error.
 func TestCanceledContextSkips(t *testing.T) {
 	_, g, a, pts := losslessFixture(t)
@@ -308,38 +306,6 @@ func TestCanceledContextSkips(t *testing.T) {
 	if rep.Status != "ok" || rep.Drifted != 0 {
 		t.Errorf("canceled audit status %q drifted %d", rep.Status, rep.Drifted)
 	}
-}
-
-// TestBudgetSkips checks the time-budget path: a budget that is already
-// spent when the workers start skips every point.
-func TestBudgetSkips(t *testing.T) {
-	_, g, a, pts := losslessFixture(t)
-	sweep, err := dse.ExploreRpStacksOpts(a, pts, dse.ExploreOptions{NeedFingerprint: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(sweep, &slowOracle{inner: &GraphOracle{Graph: g}, delay: 5 * time.Millisecond},
-		nil, Options{Fraction: 1, Budget: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Skipped == 0 {
-		t.Errorf("nanosecond budget skipped nothing (audited %d)", rep.Audited)
-	}
-	if rep.Audited+rep.Skipped != rep.Sampled {
-		t.Errorf("audited %d + skipped %d != sampled %d", rep.Audited, rep.Skipped, rep.Sampled)
-	}
-}
-
-// slowOracle delays each truth run, so time budgets expire mid-audit.
-type slowOracle struct {
-	inner Oracle
-	delay time.Duration
-}
-
-func (o *slowOracle) Truth(ctx context.Context, l stacks.Latencies) (float64, stacks.Stack, error) {
-	time.Sleep(o.delay)
-	return o.inner.Truth(ctx, l)
 }
 
 func TestRunPreconditions(t *testing.T) {

@@ -731,25 +731,20 @@ func (c *Coordinator) activeSweeps() int {
 	return len(c.sweeps)
 }
 
-// Status is one coordinator snapshot for aggregate debug endpoints: live
-// workers (seen within two lease TTLs, sorted by id), active sweeps, and
-// outstanding leases.
-type Status struct {
-	Workers      []string `json:"workers"`
-	ActiveSweeps int      `json:"active_sweeps"`
-	Leases       int      `json:"leases"`
-}
-
-// Status snapshots the coordinator for rpserved's GET /debug/status.
-func (c *Coordinator) Status() Status {
-	workers := c.liveWorkerNames()
+// activeLeases counts leases granted, not yet completed and still within
+// their TTL. Expiry is lazy, so a lease past its TTL that no protocol call
+// has revoked yet is left out here rather than revoked by a scrape.
+func (c *Coordinator) activeLeases() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Status{
-		Workers:      workers,
-		ActiveSweeps: len(c.sweeps),
-		Leases:       len(c.leases),
+	now := c.now()
+	n := 0
+	for _, l := range c.leases {
+		if now.Before(l.expires) {
+			n++
+		}
 	}
+	return n
 }
 
 // --- HTTP handlers -------------------------------------------------------

@@ -211,14 +211,21 @@ func (e *protoEnv) finish() *dse.Report {
 
 // TestLeaseHeartbeatAfterExpiry: a heartbeat arriving after the TTL passed
 // answers 410 Gone, the lease is revoked, and the chunk is immediately
-// re-leasable as a fresh (non-stolen) grant.
+// re-leasable as a fresh (non-stolen) grant. The active-lease gauge stops
+// counting the lease at its TTL, before any protocol call revokes it.
 func TestLeaseHeartbeatAfterExpiry(t *testing.T) {
 	e := newProtoEnv(t, 10*time.Second, 4, 2) // 2 chunks
 	g := e.mustLease("w1")
 	if g.Chunk != 0 || g.Stolen {
 		t.Fatalf("first grant: chunk %d stolen=%v, want fresh chunk 0", g.Chunk, g.Stolen)
 	}
+	if n := e.coord.activeLeases(); n != 1 {
+		t.Errorf("activeLeases = %d while held, want 1", n)
+	}
 	e.clock.Advance(11 * time.Second)
+	if n := e.coord.activeLeases(); n != 0 {
+		t.Errorf("activeLeases = %d past the TTL, want 0", n)
+	}
 	if st, resp := e.heartbeat("w1", g.Lease); st != http.StatusGone || resp.Status != "expired" {
 		t.Fatalf("heartbeat after expiry: HTTP %d %q, want 410 expired", st, resp.Status)
 	}
@@ -286,6 +293,9 @@ func TestStolenChunkDoubleCompletion(t *testing.T) {
 	if got := e.coord.metrics.stolen.Value(); got != 1 {
 		t.Errorf("stolen = %v, want 1", got)
 	}
+	if n := e.coord.activeLeases(); n != 3 {
+		t.Errorf("activeLeases = %d, want 3: chunk 0 twice, chunk 3 once", n)
+	}
 
 	// Both workers publish byte-identical blobs; the second Put must be a
 	// dedup, not a rewrite.
@@ -296,6 +306,9 @@ func TestStolenChunkDoubleCompletion(t *testing.T) {
 	}
 	if st, resp := e.complete("w2", stolen.Lease, 0); st != http.StatusOK || resp.Status != "ok" {
 		t.Fatalf("stolen completion: HTTP %d %q", st, resp.Status)
+	}
+	if n := e.coord.activeLeases(); n != 1 {
+		t.Errorf("activeLeases = %d after chunk 0 completed, want 1: both of its leases end", n)
 	}
 	if st, resp := e.complete("w1", slow.Lease, 0); st != http.StatusOK || resp.Status != "duplicate" {
 		t.Fatalf("late completion: HTTP %d %q, want 200 duplicate", st, resp.Status)

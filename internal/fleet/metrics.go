@@ -9,9 +9,9 @@ import (
 // metrics.go — the coordinator's rpstacks_fleet_* families, registered on
 // the caller's registry (rpserved's, so one /metrics scrape covers the
 // fleet) or a private one. Counters the lease path owns are updated in
-// place; worker liveness and active-sweep counts are pulled at scrape time
-// from the coordinator's own state, the registry's no-double-accounting
-// convention.
+// place; worker liveness, active-sweep and active-lease counts are pulled at
+// scrape time from the coordinator's own state, the registry's
+// no-double-accounting convention.
 
 // assemblyBuckets resolve report assembly, which is dominated by reading
 // the chunk blobs back: sub-millisecond for small sweeps, seconds when a
@@ -95,5 +95,8 @@ func newCoordMetrics(reg *prom.Registry, c *Coordinator) *coordMetrics {
 	reg.Collect("rpstacks_fleet_sweeps_active",
 		"Sweeps currently registered on the coordinator.", "gauge",
 		func(emit func(string, float64)) { emit("", float64(c.activeSweeps())) })
+	reg.Collect("rpstacks_fleet_leases_active",
+		"Chunk leases currently held: granted, not completed, within their TTL.", "gauge",
+		func(emit func(string, float64)) { emit("", float64(c.activeLeases())) })
 	return m
 }

@@ -245,8 +245,10 @@ func (j *Journal) Discard(id string) {
 	j.mu.Unlock()
 }
 
-// JobRunning marks the job claimed by a worker and emits its running event.
-func (j *Journal) JobRunning(id string) {
+// JobRunning marks the job claimed by a worker at the given time and emits
+// its running event. The caller passes the time so the record's Started is
+// the same reading as its own job timestamps.
+func (j *Journal) JobRunning(id string, at time.Time) {
 	if j == nil {
 		return
 	}
@@ -256,7 +258,7 @@ func (j *Journal) JobRunning(id string) {
 	}
 	st.mu.Lock()
 	st.rec.Status = "running"
-	st.rec.Started = j.now()
+	st.rec.Started = at
 	j.emitLocked(st, Event{Type: EventRunning})
 	st.mu.Unlock()
 }
@@ -334,10 +336,10 @@ func (j *Journal) FleetEvent(id, kind string, chunk int, worker string) {
 	st.mu.Unlock()
 }
 
-// JobFinished closes the record: final progress flush, terminal event,
-// subscriber shutdown, persistence, memory retention. Safe to call once per
-// job.
-func (j *Journal) JobFinished(id string, fin Finish) {
+// JobFinished closes the record at the given time: final progress flush,
+// terminal event, subscriber shutdown, persistence, memory retention. Safe
+// to call once per job.
+func (j *Journal) JobFinished(id string, at time.Time, fin Finish) {
 	if j == nil {
 		return
 	}
@@ -353,7 +355,7 @@ func (j *Journal) JobFinished(id string, fin Finish) {
 	r := &st.rec
 	r.Status = fin.Status
 	r.Error = fin.Error
-	r.Finished = j.now()
+	r.Finished = at
 	if fin.TraceDigest != "" {
 		r.TraceDigest = fin.TraceDigest
 	}

@@ -89,7 +89,7 @@ func TestJournalRecordLifecycle(t *testing.T) {
 
 	j.JobQueued("job-1", Record{Engine: "rpstacks", Workload: "429.mcf", GridPoints: 12})
 	clock.Advance(100 * time.Millisecond)
-	j.JobRunning("job-1")
+	j.JobRunning("job-1", clock.Now())
 	j.ObserveSpan("job-1", obs.Record{Cat: obs.CatJob, Name: obs.NameQueueWait, Dur: 100 * time.Millisecond})
 	j.ObserveSpan("job-1", obs.Record{Cat: obs.CatJob, Name: obs.NameSetup, Dur: 40 * time.Millisecond})
 	j.ObserveSpan("job-1", obs.Record{Cat: obs.CatCache, Name: "mem-hit"})
@@ -102,7 +102,7 @@ func TestJournalRecordLifecycle(t *testing.T) {
 	j.FleetEvent("job-1", FleetSteal, 1, "w1")
 	j.FleetEvent("job-1", FleetExpire, 1, "w0")
 	clock.Advance(time.Second)
-	j.JobFinished("job-1", Finish{
+	j.JobFinished("job-1", clock.Now(), Finish{
 		Status: "done", TraceDigest: "abc123", Workers: 2, SweepMS: 2000,
 		SetupCached: true, AuditStatus: "ok",
 		Search: &SearchStats{Mode: "greedy", Probes: 7, Converged: true},
@@ -189,9 +189,9 @@ func TestJournalSubscribeLiveAndReplay(t *testing.T) {
 	if !ok {
 		t.Fatal("subscribe on a queued job failed")
 	}
-	j.JobRunning("job-1")
+	j.JobRunning("job-1", clock.Now())
 	j.ObserveSpan("job-1", chunkSpan(4))
-	j.JobFinished("job-1", Finish{Status: "done"})
+	j.JobFinished("job-1", clock.Now(), Finish{Status: "done"})
 
 	evs := drain(t, live)
 	if len(evs) != 4 || evs[0].Type != EventQueued || evs[3].Type != EventDone {
@@ -235,7 +235,7 @@ func TestJournalSlowReaderDrops(t *testing.T) {
 		t.Fatal("subscribe failed")
 	}
 	defer sub.Close()
-	j.JobRunning("job-1")
+	j.JobRunning("job-1", time.Now())
 	for i := 0; i < 5; i++ {
 		j.ObserveSpan("job-1", chunkSpan(1))
 	}
@@ -247,7 +247,7 @@ func TestJournalSlowReaderDrops(t *testing.T) {
 		t.Errorf("subscribers = %d, want 1", st.Subscribers)
 	}
 	// The job side never blocked: all five chunks landed on the meter.
-	j.JobFinished("job-1", Finish{Status: "done"})
+	j.JobFinished("job-1", time.Now(), Finish{Status: "done"})
 	rec, _ := j.Get("job-1")
 	if rec.Status != "done" {
 		t.Errorf("job status %q, want done despite the stalled subscriber", rec.Status)
@@ -264,10 +264,10 @@ func TestJournalPersistence(t *testing.T) {
 
 	for _, id := range []string{"job-1", "job-2"} {
 		j1.JobQueued(id, Record{Engine: "rpstacks", GridPoints: 2})
-		j1.JobRunning(id)
+		j1.JobRunning(id, clock.Now())
 		j1.ObserveSpan(id, chunkSpan(2))
 		clock.Advance(time.Second)
-		j1.JobFinished(id, Finish{Status: "done"})
+		j1.JobFinished(id, clock.Now(), Finish{Status: "done"})
 	}
 	if st := j1.Stats(); st.Persisted != 2 {
 		t.Fatalf("persisted index %d, want 2", st.Persisted)
@@ -317,8 +317,8 @@ func TestJournalPersistFailure(t *testing.T) {
 	store.failPut = true
 	j := New(Options{Store: store, ProgressInterval: -1})
 	j.JobQueued("job-1", Record{GridPoints: 1})
-	j.JobRunning("job-1")
-	j.JobFinished("job-1", Finish{Status: "failed", Error: "boom"})
+	j.JobRunning("job-1", time.Now())
+	j.JobFinished("job-1", time.Now(), Finish{Status: "failed", Error: "boom"})
 	if st := j.Stats(); st.PersistErrors == 0 {
 		t.Error("failed Put not counted")
 	}
@@ -332,11 +332,11 @@ func TestJournalPersistFailure(t *testing.T) {
 func TestJournalEventCapacity(t *testing.T) {
 	j := New(Options{ProgressInterval: -1, EventCapacity: 4})
 	j.JobQueued("job-1", Record{GridPoints: 100})
-	j.JobRunning("job-1")
+	j.JobRunning("job-1", time.Now())
 	for i := 0; i < 10; i++ {
 		j.ObserveSpan("job-1", chunkSpan(1))
 	}
-	j.JobFinished("job-1", Finish{Status: "done"})
+	j.JobFinished("job-1", time.Now(), Finish{Status: "done"})
 	rec, _ := j.Get("job-1")
 	if len(rec.Events) != 4 {
 		t.Fatalf("retained %d events, want capacity 4", len(rec.Events))
@@ -359,8 +359,8 @@ func TestJournalRetentionCapacity(t *testing.T) {
 	j := New(Options{ProgressInterval: -1, Capacity: 2})
 	for _, id := range []string{"a", "b", "c"} {
 		j.JobQueued(id, Record{GridPoints: 1})
-		j.JobRunning(id)
-		j.JobFinished(id, Finish{Status: "done"})
+		j.JobRunning(id, time.Now())
+		j.JobFinished(id, time.Now(), Finish{Status: "done"})
 	}
 	if _, ok := j.Get("a"); ok {
 		t.Error("oldest record survived past capacity without a store")
@@ -388,10 +388,10 @@ func TestJournalDiscard(t *testing.T) {
 func TestJournalNilIsDisabled(t *testing.T) {
 	var j *Journal
 	j.JobQueued("x", Record{})
-	j.JobRunning("x")
+	j.JobRunning("x", time.Now())
 	j.ObserveSpan("x", chunkSpan(1))
 	j.FleetEvent("x", FleetLease, 0, "w")
-	j.JobFinished("x", Finish{Status: "done"})
+	j.JobFinished("x", time.Now(), Finish{Status: "done"})
 	j.Discard("x")
 	if _, ok := j.Get("x"); ok {
 		t.Error("nil journal returned a record")

@@ -126,18 +126,19 @@ type JobResult struct {
 	Search *SearchSummary `json:"search,omitempty"`
 }
 
-func (j *Job) setStatus(st JobStatus) {
+// setRunning marks the job claimed by a worker at the given server-clock
+// time.
+func (j *Job) setRunning(at time.Time) {
 	j.mu.Lock()
-	j.status = st
-	if st == JobRunning {
-		j.started = time.Now()
-	}
+	j.status = JobRunning
+	j.started = at
 	j.mu.Unlock()
 }
 
-// complete records the terminal state, classifying context errors into the
-// timeout and canceled statuses, and returns the status it settled on.
-func (j *Job) complete(res *JobResult, err error) JobStatus {
+// complete records the terminal state at the given server-clock time,
+// classifying context errors into the timeout and canceled statuses, and
+// returns the status it settled on.
+func (j *Job) complete(res *JobResult, err error, at time.Time) JobStatus {
 	st := JobDone
 	switch {
 	case err == nil:
@@ -150,7 +151,7 @@ func (j *Job) complete(res *JobResult, err error) JobStatus {
 	}
 	j.mu.Lock()
 	j.status = st
-	j.finished = time.Now()
+	j.finished = at
 	j.result = res
 	j.err = err
 	j.mu.Unlock()

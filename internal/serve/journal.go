@@ -3,22 +3,19 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"html"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
 	"repro/internal/obs/journal"
-	"repro/internal/serve/cache"
 )
 
-// journal.go — the HTTP face of the job journal and the aggregate debug
-// snapshot. GET /debug/jobs lists flight records (filter by status/engine/
-// since, newest first, bounded), GET /debug/jobs/{id} serves one record with
-// its retained event log, GET /debug/jobs/{id}/events streams the live
-// lifecycle as Server-Sent Events (resumable via Last-Event-ID), and
-// GET /debug/status is the one-page operational snapshot.
+// journal.go — the HTTP face of the job journal. GET /debug/jobs lists
+// flight records (filter by status/engine/since, newest first, bounded),
+// GET /debug/jobs/{id} serves one record with its retained event log, and
+// GET /debug/jobs/{id}/events streams the live lifecycle as Server-Sent
+// Events (resumable via Last-Event-ID). The journal's own counters are
+// rpstacks_journal_* families on /metrics.
 
 // handleDebugJobs lists journal records. Query parameters: status, engine,
 // since (RFC 3339), limit.
@@ -132,200 +129,4 @@ func (s *Server) handleDebugJobEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// debugStatus is the aggregate snapshot GET /debug/status serves.
-type debugStatus struct {
-	Status        string  `json:"status"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-
-	QueueDepth    int     `json:"queue_depth"`
-	QueueCapacity int     `json:"queue_capacity"`
-	JobsRunning   int     `json:"jobs_running"`
-	JobsSubmitted float64 `json:"jobs_submitted_total"`
-	JobsRejected  float64 `json:"jobs_rejected_total"`
-
-	CacheHitRates map[string]float64 `json:"cache_hit_rates"`
-
-	StoreEntries int   `json:"store_entries,omitempty"`
-	StoreBytes   int64 `json:"store_bytes,omitempty"`
-
-	Fleet *fleetStatus `json:"fleet,omitempty"`
-
-	AuditDrift float64 `json:"audit_drift_total"`
-
-	Journal *journal.Stats `json:"journal,omitempty"`
-
-	SLO map[string]sloStatus `json:"slo,omitempty"`
-}
-
-// sloStatus is one declared engine's latency objective and its counters.
-// Windowed burn rates come from PromQL over the same counters.
-type sloStatus struct {
-	ThresholdMS int64   `json:"threshold_ms"`
-	Good        float64 `json:"good"`
-	Events      float64 `json:"events"`
-}
-
-type fleetStatus struct {
-	WorkersLive  int      `json:"workers_live"`
-	Workers      []string `json:"workers"`
-	ActiveSweeps int      `json:"active_sweeps"`
-	Leases       int      `json:"leases"`
-}
-
-// snapshotStatus gathers the debug snapshot from every subsystem's own
-// stats surface — nothing here double-accounts a metric family.
-func (s *Server) snapshotStatus() debugStatus {
-	status := "ok"
-	if s.draining.Load() {
-		status = "draining"
-	}
-	ds := debugStatus{
-		Status:        status,
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		QueueDepth:    len(s.queue),
-		QueueCapacity: cap(s.queue),
-		JobsRunning:   int(s.metrics.inflight.Value()),
-		JobsSubmitted: s.metrics.submitted.Value(),
-		JobsRejected:  s.metrics.rejected.Value(),
-		AuditDrift:    s.metrics.auditDrift.Value(),
-		CacheHitRates: map[string]float64{
-			"artifacts": hitRate(s.artifacts.Stats()),
-			"workloads": hitRate(s.workloads.Stats()),
-		},
-	}
-	if s.store != nil {
-		st := s.store.Stats()
-		ds.StoreEntries = st.Entries
-		ds.StoreBytes = st.Bytes
-	}
-	if s.fleet != nil {
-		fs := s.fleet.Status()
-		ds.Fleet = &fleetStatus{
-			WorkersLive:  len(fs.Workers),
-			Workers:      fs.Workers,
-			ActiveSweeps: fs.ActiveSweeps,
-			Leases:       fs.Leases,
-		}
-	}
-	if s.journal != nil {
-		js := s.journal.Stats()
-		ds.Journal = &js
-	}
-	if len(s.cfg.SLOTargets) > 0 {
-		ds.SLO = make(map[string]sloStatus, len(s.cfg.SLOTargets))
-		for engine, thr := range s.cfg.SLOTargets {
-			ds.SLO[engine] = sloStatus{
-				ThresholdMS: thr.Milliseconds(),
-				Good:        s.metrics.sloGood.With(engine).Value(),
-				Events:      s.metrics.sloEvents.With(engine).Value(),
-			}
-		}
-	}
-	return ds
-}
-
-// hitRate is memory hits over lookups (tier hits count as hits too: a
-// disk-served lookup avoided the build either way).
-func hitRate(st cache.TieredStats) float64 {
-	hits := float64(st.Memory.Hits + st.DiskHits)
-	total := float64(st.Memory.Hits + st.Memory.Misses)
-	if total == 0 {
-		return 0
-	}
-	return hits / total
-}
-
-// handleDebugStatus serves the aggregate snapshot: JSON by default, a small
-// human page with ?format=html.
-func (s *Server) handleDebugStatus(w http.ResponseWriter, r *http.Request) {
-	ds := s.snapshotStatus()
-	switch r.URL.Query().Get("format") {
-	case "", "json":
-		writeJSON(w, http.StatusOK, ds)
-	case "html":
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		writeStatusHTML(w, ds)
-	default:
-		errJSON(w, http.StatusBadRequest, "unknown status format %q (want json or html)", r.URL.Query().Get("format"))
-	}
-}
-
-// writeStatusHTML renders the snapshot as one key-value table per section —
-// deliberately dependency-free and unstyled beyond legibility.
-func writeStatusHTML(w http.ResponseWriter, ds debugStatus) {
-	row := func(k string, v any) {
-		fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td></tr>\n",
-			html.EscapeString(k), html.EscapeString(fmt.Sprint(v)))
-	}
-	section := func(title string) {
-		fmt.Fprintf(w, "<h2>%s</h2>\n<table border=\"1\" cellpadding=\"4\">\n", html.EscapeString(title))
-	}
-	end := func() { fmt.Fprint(w, "</table>\n") }
-
-	fmt.Fprint(w, "<!DOCTYPE html>\n<html><head><title>rpserved status</title></head><body>\n")
-	fmt.Fprintf(w, "<h1>rpserved: %s</h1>\n", html.EscapeString(ds.Status))
-
-	section("Jobs")
-	row("uptime", fmt.Sprintf("%.0fs", ds.UptimeSeconds))
-	row("queue depth", fmt.Sprintf("%d / %d", ds.QueueDepth, ds.QueueCapacity))
-	row("running", ds.JobsRunning)
-	row("submitted", ds.JobsSubmitted)
-	row("rejected", ds.JobsRejected)
-	row("audit drift points", ds.AuditDrift)
-	end()
-
-	section("Caches")
-	names := make([]string, 0, len(ds.CacheHitRates))
-	for name := range ds.CacheHitRates {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		row(name+" hit rate", fmt.Sprintf("%.1f%%", 100*ds.CacheHitRates[name]))
-	}
-	if ds.StoreEntries > 0 || ds.StoreBytes > 0 {
-		row("store entries", ds.StoreEntries)
-		row("store bytes", ds.StoreBytes)
-	}
-	end()
-
-	if ds.Fleet != nil {
-		section("Fleet")
-		row("workers live", ds.Fleet.WorkersLive)
-		for _, wk := range ds.Fleet.Workers {
-			row("worker", wk)
-		}
-		row("active sweeps", ds.Fleet.ActiveSweeps)
-		row("leases", ds.Fleet.Leases)
-		end()
-	}
-
-	if ds.Journal != nil {
-		section("Journal")
-		row("records in memory", ds.Journal.Records)
-		row("records persisted", ds.Journal.Persisted)
-		row("live subscribers", ds.Journal.Subscribers)
-		row("events dropped", ds.Journal.Dropped)
-		row("persist errors", ds.Journal.PersistErrors)
-		end()
-	}
-
-	if len(ds.SLO) > 0 {
-		section("SLO")
-		engines := make([]string, 0, len(ds.SLO))
-		for engine := range ds.SLO {
-			engines = append(engines, engine)
-		}
-		sort.Strings(engines)
-		for _, engine := range engines {
-			e := ds.SLO[engine]
-			row(engine, fmt.Sprintf("%.0f of %.0f jobs within %dms", e.Good, e.Events, e.ThresholdMS))
-		}
-		end()
-	}
-
-	fmt.Fprint(w, "</body></html>\n")
 }

@@ -21,7 +21,7 @@ import (
 // journal_test.go — the serve-layer acceptance tests for the job journal:
 // flight records over HTTP, the SSE lifecycle stream (live, resumed, and
 // replayed after a restart), the journal-on/off differential, the slow-job
-// warning, /debug/status, and the SLO metric families.
+// warning, the journal families on /metrics, and the SLO metric families.
 
 // sseFrame is one parsed Server-Sent Event.
 type sseFrame struct {
@@ -243,9 +243,9 @@ func TestJournalFlightRecord(t *testing.T) {
 	}
 }
 
-// TestJournalSSELiveStream attaches the SSE client while the job is still
-// held in the queue, so the queued frame is delivered live and the rest of
-// the lifecycle streams as it happens.
+// TestJournalSSELiveStream attaches the SSE client while the job is held
+// before its work starts: the queued and running frames replay from the
+// retained log and the rest of the lifecycle streams as it happens.
 func TestJournalSSELiveStream(t *testing.T) {
 	s := New(Config{Workers: 2, SweepParallelism: 2, JournalProgressInterval: -1})
 	gate := make(chan struct{})
@@ -540,13 +540,15 @@ func TestJournalDifferential(t *testing.T) {
 			t.Errorf("disabled journal: GET %s status %d, want 404", path, resp.StatusCode)
 		}
 	}
-	// /debug/status stays up either way, just without a journal section.
-	resp, err := http.Get(tsOff.URL + "/debug/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body := readAll(t, resp); resp.StatusCode != http.StatusOK || strings.Contains(body, `"journal"`) {
-		t.Errorf("disabled-journal status: %d\n%s", resp.StatusCode, body)
+	// /metrics carries the journal families only while the journal is on.
+	for _, c := range []struct {
+		url  string
+		want bool
+	}{{tsOn.URL, true}, {tsOff.URL, false}} {
+		_, exp := getBody(t, c.url+"/metrics")
+		if got := strings.Contains(exp, "rpstacks_journal_records "); got != c.want {
+			t.Errorf("%s/metrics has journal families: %v, want %v", c.url, got, c.want)
+		}
 	}
 }
 
@@ -626,9 +628,11 @@ func TestSlowJobWarning(t *testing.T) {
 	}
 }
 
-// TestDebugStatus: the aggregate snapshot reflects a served job in JSON and
-// HTML, and rejects unknown formats.
-func TestDebugStatus(t *testing.T) {
+// TestOperationalSurface: every number the removed GET /debug/status
+// snapshot showed is a /metrics family or a /healthz field, the journal's
+// own counters included, and the snapshot route is gone. Without a fleet
+// there is no fleet family.
+func TestOperationalSurface(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -653,74 +657,77 @@ func TestDebugStatus(t *testing.T) {
 	getRecord(t, ts.URL, v.ID)
 
 	// The record's terminal write precedes its persistence; wait for the
-	// index to land before asserting on the snapshot.
-	var ds map[string]any
+	// index to land before asserting on the exposition.
+	var exp string
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := http.Get(ts.URL + "/debug/status")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal([]byte(readAll(t, resp)), &ds); err != nil {
-			t.Fatalf("status not JSON: %v", err)
-		}
-		if jn, ok := ds["journal"].(map[string]any); ok {
-			if n, _ := jn["Persisted"].(float64); n >= 1 {
-				break
-			}
+		_, exp = getBody(t, ts.URL+"/metrics")
+		if strings.Contains(exp, "rpstacks_journal_records_persisted 1") {
+			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("journal record never persisted: %v", ds)
+			t.Fatalf("journal record never persisted:\n%s", exp)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if ds["status"] != "ok" {
-		t.Errorf("status = %v, want ok", ds["status"])
+
+	// status and uptime_seconds live on /healthz.
+	var health map[string]any
+	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK {
+		t.Fatalf("healthz status %d", code)
 	}
-	if n, _ := ds["jobs_submitted_total"].(float64); n < 1 {
-		t.Errorf("jobs_submitted_total = %v, want >= 1", ds["jobs_submitted_total"])
+	if health["status"] != "ok" {
+		t.Errorf("healthz status = %v, want ok", health["status"])
 	}
-	if _, ok := ds["cache_hit_rates"].(map[string]any)["artifacts"]; !ok {
-		t.Errorf("cache_hit_rates missing artifacts: %v", ds["cache_hit_rates"])
-	}
-	if n, _ := ds["store_entries"].(float64); n < 1 {
-		t.Errorf("store_entries = %v, want >= 1", ds["store_entries"])
-	}
-	jn, ok := ds["journal"].(map[string]any)
-	if !ok {
-		t.Fatalf("status has no journal section: %v", ds)
-	}
-	if n, _ := jn["Persisted"].(float64); n < 1 {
-		t.Errorf("journal persisted = %v, want >= 1", jn["Persisted"])
-	}
-	slo, ok := ds["slo"].(map[string]any)
-	if !ok {
-		t.Fatalf("status has no slo entry: %v", ds)
-	}
-	rp, _ := slo["rpstacks"].(map[string]any)
-	if rp["threshold_ms"] != float64(time.Hour.Milliseconds()) || rp["good"] != 1.0 || rp["events"] != 1.0 {
-		t.Errorf("slo.rpstacks = %v, want threshold_ms 3600000, good 1, events 1", slo["rpstacks"])
+	if _, ok := health["uptime_seconds"].(float64); !ok {
+		t.Errorf("healthz missing uptime_seconds: %v", health)
 	}
 
-	resp, err := http.Get(ts.URL + "/debug/status?format=html")
-	if err != nil {
-		t.Fatal(err)
-	}
-	html := readAll(t, resp)
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Errorf("html format content type %q", ct)
-	}
-	for _, want := range []string{"<h1>rpserved: ok</h1>", "Journal", "<h2>SLO</h2>", "1 of 1 jobs within 3600000ms"} {
-		if !strings.Contains(html, want) {
-			t.Errorf("html status missing %q:\n%s", want, html)
+	// Each remaining snapshot field, as the sample that now carries it and
+	// the value this one job leaves behind (-1: present, any value).
+	for _, want := range []struct {
+		sample string
+		value  float64
+	}{
+		{"rpstacks_queue_depth", 0},
+		{"rpstacks_queue_capacity", 64},
+		// runJob leaves the inflight gauge after persisting the record, so
+		// the gauge may still read 1 here.
+		{"rpstacks_jobs_inflight", -1},
+		{"rpstacks_jobs_submitted_total", 1},
+		{"rpstacks_jobs_rejected_total", 0},
+		{"rpstacks_audit_drift_total", 0},
+		// Cache hit rates are PromQL over these three counters.
+		{`rpstacks_cache_hits_total{cache="artifacts"}`, 0},
+		{`rpstacks_cache_misses_total{cache="artifacts"}`, 1},
+		{`rpstacks_cache_disk_hits_total{cache="artifacts"}`, 0},
+		{`rpstacks_cache_hits_total{cache="workloads"}`, -1},
+		{`rpstacks_cache_misses_total{cache="workloads"}`, -1},
+		{`rpstacks_cache_disk_hits_total{cache="workloads"}`, -1},
+		{"rpstacks_store_bytes", -1},
+		{"rpstacks_journal_records", 1},
+		{"rpstacks_journal_records_persisted", 1},
+		{"rpstacks_journal_subscribers", 0},
+		{"rpstacks_journal_events_dropped_total", 0},
+		{"rpstacks_journal_persist_errors_total", 0},
+		{`rpstacks_slo_target_info{class="rpstacks",threshold_ms="3600000"}`, 1},
+		{`rpstacks_slo_good_total{class="rpstacks"}`, 1},
+		{`rpstacks_slo_events_total{class="rpstacks"}`, 1},
+	} {
+		got := metricValue(t, exp, want.sample)
+		if want.value >= 0 && got != want.value {
+			t.Errorf("%s = %g, want %g", want.sample, got, want.value)
 		}
 	}
-	resp, err = http.Get(ts.URL + "/debug/status?format=xml")
-	if err != nil {
-		t.Fatal(err)
+	if n := metricValue(t, exp, "rpstacks_store_entries"); n < 1 {
+		t.Errorf("rpstacks_store_entries = %g, want >= 1", n)
 	}
-	if readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown format status %d, want 400", resp.StatusCode)
+	if strings.Contains(exp, "rpstacks_fleet_") {
+		t.Error("fleet families exported without a fleet store")
+	}
+
+	if code, body := getBody(t, ts.URL+"/debug/status"); code != http.StatusNotFound {
+		t.Errorf("GET /debug/status = %d, want 404:\n%s", code, body)
 	}
 }
 
@@ -856,16 +863,26 @@ func TestJournalSSEFleetJob(t *testing.T) {
 	if lastProgress.Done != 12 || lastProgress.Total != 12 {
 		t.Errorf("final fleet progress %+v, want 12/12", lastProgress)
 	}
-	// The snapshot sees the fleet too.
-	resp, err := http.Get(ts.URL + "/debug/status")
-	if err != nil {
-		t.Fatal(err)
+	// With a journal and a fleet, /metrics carries both sets of families.
+	// The sweep is over, so no sweep or lease is active any more.
+	_, exp := getBody(t, ts.URL+"/metrics")
+	for _, sample := range []string{
+		"rpstacks_journal_records",
+		"rpstacks_journal_records_persisted",
+		"rpstacks_journal_subscribers",
+		"rpstacks_journal_events_dropped_total",
+		"rpstacks_journal_persist_errors_total",
+	} {
+		metricValue(t, exp, sample)
 	}
-	var ds map[string]any
-	if err := json.Unmarshal([]byte(readAll(t, resp)), &ds); err != nil {
-		t.Fatal(err)
+	if n := metricValue(t, exp, "rpstacks_fleet_leases_active"); n != 0 {
+		t.Errorf("rpstacks_fleet_leases_active = %g after the sweep, want 0", n)
 	}
-	if _, ok := ds["fleet"].(map[string]any); !ok {
-		t.Errorf("status has no fleet section: %v", ds)
+	if n := metricValue(t, exp, "rpstacks_fleet_sweeps_active"); n != 0 {
+		t.Errorf("rpstacks_fleet_sweeps_active = %g after the sweep, want 0", n)
+	}
+	live := metricValue(t, exp, "rpstacks_fleet_workers_live")
+	if live < 1 || metricSum(exp, "rpstacks_fleet_worker_live") != live {
+		t.Errorf("rpstacks_fleet_workers_live = %g, want >= 1 and one worker_live row per live worker:\n%s", live, exp)
 	}
 }

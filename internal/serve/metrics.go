@@ -252,7 +252,8 @@ func (m *metrics) observeSpan(rec obs.Record) {
 
 // registerCollectors installs the pull-style families over state owned
 // elsewhere: queue occupancy, both cache tiers and (when configured) the
-// durable store. Called once from New, after those owners exist.
+// durable store and the job journal. Called once from New, after those
+// owners exist.
 func (s *Server) registerCollectors() {
 	reg := s.metrics.reg
 	reg.Collect("rpstacks_queue_depth", "Jobs waiting on the queue.", "gauge",
@@ -300,31 +301,47 @@ func (s *Server) registerCollectors() {
 			emit("", saved.Seconds())
 		})
 
-	if s.store == nil {
-		return
-	}
-	storeGauges := []struct {
+	// The store and journal families exist only when their owner does.
+	type pulled struct {
 		name, help, typ string
 		get             func() float64
-	}{
-		{"rpstacks_store_hits_total", "Durable-store reads served with a verified payload.", "counter",
-			func() float64 { return float64(s.store.Stats().Hits) }},
-		{"rpstacks_store_misses_total", "Durable-store reads for absent keys.", "counter",
-			func() float64 { return float64(s.store.Stats().Misses) }},
-		{"rpstacks_store_corruptions_total", "Entries dropped for a failed checksum or an unreadable or malformed object.", "counter",
-			func() float64 { return float64(s.store.Stats().Corruptions) }},
-		{"rpstacks_store_evictions_total", "Entries evicted by the capacity GC.", "counter",
-			func() float64 { return float64(s.store.Stats().Evictions) }},
-		{"rpstacks_store_entries", "Entries currently published on disk.", "gauge",
-			func() float64 { return float64(s.store.Stats().Entries) }},
-		{"rpstacks_store_bytes", "Payload bytes currently published on disk.", "gauge",
-			func() float64 { return float64(s.store.Stats().Bytes) }},
-		{"rpstacks_store_setup_saved_seconds_total", "Build cost durable hits avoided re-paying, across restarts.", "counter",
-			func() float64 { return s.store.Stats().SavedSetup.Seconds() }},
 	}
-	for _, g := range storeGauges {
-		get := g.get
-		reg.Collect(g.name, g.help, g.typ, func(emit func(string, float64)) { emit("", get()) })
+	var families []pulled
+	if s.store != nil {
+		families = append(families, []pulled{
+			{"rpstacks_store_hits_total", "Durable-store reads served with a verified payload.", "counter",
+				func() float64 { return float64(s.store.Stats().Hits) }},
+			{"rpstacks_store_misses_total", "Durable-store reads for absent keys.", "counter",
+				func() float64 { return float64(s.store.Stats().Misses) }},
+			{"rpstacks_store_corruptions_total", "Entries dropped for a failed checksum or an unreadable or malformed object.", "counter",
+				func() float64 { return float64(s.store.Stats().Corruptions) }},
+			{"rpstacks_store_evictions_total", "Entries evicted by the capacity GC.", "counter",
+				func() float64 { return float64(s.store.Stats().Evictions) }},
+			{"rpstacks_store_entries", "Entries currently published on disk.", "gauge",
+				func() float64 { return float64(s.store.Stats().Entries) }},
+			{"rpstacks_store_bytes", "Payload bytes currently published on disk.", "gauge",
+				func() float64 { return float64(s.store.Stats().Bytes) }},
+			{"rpstacks_store_setup_saved_seconds_total", "Build cost durable hits avoided re-paying, across restarts.", "counter",
+				func() float64 { return s.store.Stats().SavedSetup.Seconds() }},
+		}...)
+	}
+	if s.journal != nil {
+		families = append(families, []pulled{
+			{"rpstacks_journal_records", "Flight records in memory: live jobs plus retained finished ones.", "gauge",
+				func() float64 { return float64(s.journal.Stats().Records) }},
+			{"rpstacks_journal_records_persisted", "Flight records in the durable index.", "gauge",
+				func() float64 { return float64(s.journal.Stats().Persisted) }},
+			{"rpstacks_journal_subscribers", "Live job event streams attached.", "gauge",
+				func() float64 { return float64(s.journal.Stats().Subscribers) }},
+			{"rpstacks_journal_events_dropped_total", "Job events dropped on full subscriber buffers.", "counter",
+				func() float64 { return float64(s.journal.Stats().Dropped) }},
+			{"rpstacks_journal_persist_errors_total", "Failed flight-record writes to the store.", "counter",
+				func() float64 { return float64(s.journal.Stats().PersistErrors) }},
+		}...)
+	}
+	for _, f := range families {
+		get := f.get
+		reg.Collect(f.name, f.help, f.typ, func(emit func(string, float64)) { emit("", get()) })
 	}
 }
 

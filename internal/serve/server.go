@@ -182,8 +182,9 @@ type Server struct {
 	// options still share simulated traces through the durable tier.
 	cfgPrint string
 
-	// beforeJob, when non-nil, runs on the worker goroutine before each
-	// job. Tests use it to hold workers busy deterministically.
+	// beforeJob, when non-nil, runs on the worker goroutine once a job is
+	// marked running, before its work starts. Tests use it to hold workers
+	// busy deterministically.
 	beforeJob func(*Job)
 }
 
@@ -290,7 +291,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /debug/jobs", s.handleDebugJobs)
 	s.mux.HandleFunc("GET /debug/jobs/{id}", s.handleDebugJob)
 	s.mux.HandleFunc("GET /debug/jobs/{id}/events", s.handleDebugJobEvents)
-	s.mux.HandleFunc("GET /debug/status", s.handleDebugStatus)
 	s.registerCollectors()
 
 	if cfg.FleetStore != nil {
@@ -359,31 +359,34 @@ func (s *Server) worker() {
 // context error (checked at every chunk boundary), so a timed-out job never
 // wedges its worker.
 func (s *Server) runJob(job *Job) {
-	if hook := s.beforeJob; hook != nil {
-		hook(job)
-	}
 	job.queued.End()
 	s.metrics.inflight.Add(1)
 	defer s.metrics.inflight.Add(-1)
-	job.setStatus(JobRunning)
-	s.journal.JobRunning(job.ID)
+	// One clock reading per lifecycle edge: the job view's run_ms, the
+	// journal record and the SLO latency all derive from the same pair.
+	started := s.now()
+	job.setRunning(started)
+	s.journal.JobRunning(job.ID, started)
+	if hook := s.beforeJob; hook != nil {
+		hook(job)
+	}
 
 	ctx, cancel := context.WithTimeout(s.jobCtx, job.Spec.Timeout)
-	start := s.now()
 	res, err := s.execute(ctx, job)
 	cancel()
 
-	st := job.complete(res, err)
+	finished := s.now()
+	st := job.complete(res, err, finished)
 	job.root.End()
 	s.metrics.jobFinished(st)
-	elapsed := s.now().Sub(start)
+	elapsed := finished.Sub(started)
 	// Count the objective before the record is persisted, so a reader that
 	// sees the persisted record also sees the job in the SLO counters.
 	thr, hasSLO := s.cfg.SLOTargets[job.Spec.Engine]
 	if hasSLO {
 		s.metrics.observeSLO(job.Spec.Engine, st == JobDone && elapsed <= thr)
 	}
-	s.journal.JobFinished(job.ID, finishRecord(job, st, res, err))
+	s.journal.JobFinished(job.ID, finished, finishRecord(job, st, res, err))
 	if hasSLO && elapsed > thr {
 		s.slowJobWarn(job, st, elapsed, thr)
 	}

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -329,6 +330,96 @@ func TestQueueShedsLoad(t *testing.T) {
 	<-entered // second job starts once the first finishes
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestListJobs: GET /jobs lists queued, running and retained finished jobs
+// in ID order, as summary rows without the ranked result.
+func TestListJobs(t *testing.T) {
+	entered := make(chan string, 4)
+	release := make(chan struct{})
+	var claimed atomic.Int32
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	// The first job runs through; later ones are held running.
+	s.beforeJob = func(j *Job) {
+		if claimed.Add(1) > 1 {
+			entered <- j.ID
+			<-release
+		}
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	var ids []string
+	submit := func() string {
+		v, code := submitJob(t, ts.URL, testBody(""))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit status %d, want 202", code)
+		}
+		ids = append(ids, v.ID)
+		return v.ID
+	}
+	pollJob(t, ts.URL, submit())
+	submit()
+	<-entered // the second job is running, held by the hook
+	submit()  // the single worker is busy: the third job stays queued
+
+	code, body := getBody(t, ts.URL+"/jobs")
+	if code != http.StatusOK {
+		t.Fatalf("GET /jobs status %d", code)
+	}
+	var list struct {
+		Jobs []map[string]any `json:"jobs"`
+	}
+	if err := json.Unmarshal([]byte(body), &list); err != nil {
+		t.Fatalf("listing not JSON: %v\n%s", err, body)
+	}
+	want := []JobStatus{JobDone, JobRunning, JobQueued}
+	if len(list.Jobs) != len(want) {
+		t.Fatalf("listed %d jobs, want %d:\n%s", len(list.Jobs), len(want), body)
+	}
+	for i, row := range list.Jobs {
+		if row["id"] != ids[i] || row["status"] != string(want[i]) {
+			t.Errorf("row %d: id %v status %v, want %s %s", i, row["id"], row["status"], ids[i], want[i])
+		}
+		if _, ok := row["result"]; ok {
+			t.Errorf("row %d carries a result; listing rows are summaries", i)
+		}
+	}
+
+	close(release)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestRunTimeFollowsServerClock: a job's run_ms comes from the same server
+// clock readings as its journal record, so under an injected clock that
+// steps a second per reading GET /jobs/{id} and /debug/jobs/{id} agree.
+func TestRunTimeFollowsServerClock(t *testing.T) {
+	var (
+		mu  sync.Mutex
+		now = time.Unix(50_000, 0)
+	)
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		now = now.Add(time.Second)
+		return now
+	}
+	s := New(Config{Workers: 1, SweepParallelism: 1, Clock: clock})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	v, code := submitJob(t, ts.URL, testBody(""))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	done := pollJob(t, ts.URL, v.ID)
+	rec := getRecord(t, ts.URL, v.ID)
+	want := float64(rec.Finished.Sub(rec.Started)) / float64(time.Millisecond)
+	if want < 1000 || done.RunMS != want {
+		t.Errorf("run_ms = %g, journal Finished - Started = %gms (want equal, at least one clock step)", done.RunMS, want)
 	}
 }
 
